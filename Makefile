@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke campaign-check report-smoke report-golden trace-smoke trace-golden discipline-smoke discipline-golden shard-smoke shard-golden serve-smoke serve-golden telemetry-smoke telemetry-golden byzantine-smoke byzantine-golden
+.PHONY: ci vet build test race bench bench-smoke perfbench-test campaign-check report-smoke report-golden trace-smoke trace-golden discipline-smoke discipline-golden shard-smoke shard-golden serve-smoke serve-golden telemetry-smoke telemetry-golden byzantine-smoke byzantine-golden
 
 # ci is the gate run by .github/workflows/ci.yml: vet, build, and the
 # full test suite under the race detector (the harness worker pool is
@@ -26,6 +26,12 @@ bench:
 # loop): a cheap CI guard that benchmark code doesn't rot.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# perfbench-test runs the benchmark module's unit tests (a separate Go
+# module under perfbench/, so `go test ./...` at the root skips it): an
+# internal API change that breaks the benchmark build fails here.
+perfbench-test:
+	cd perfbench && $(GO) test -short ./...
 
 # campaign-check runs the smoke campaign and gates it against the
 # committed golden file (regenerate with:

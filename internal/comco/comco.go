@@ -12,6 +12,37 @@
 // frame end, behind a bus-arbitration delay (the write of offset 0x1C
 // raises RECEIVE). Both paths carry small bounded jitter — the "ongoing
 // data transmission and the bus arbitration" terms the paper identifies.
+//
+// # Burst model
+//
+// Every 32-bit DMA word has a nominal time, the instant the real chip
+// moves it, but only two accesses have an effect of their own: the
+// TRANSMIT trigger read and the RECEIVE trigger write. The controller
+// therefore schedules whole bursts, not words.
+//
+// A transmit fetch is one event at the TRANSMIT trigger instant that
+// performs all 16 header reads in word order. Moving the other reads to
+// that instant is exact: no CPU write touches a queued transmit header
+// (the kernel cycles a 21-slot ring per channel), and the channel's
+// stamp latch, which the reads after the trigger return, is re-armed
+// only by the channel's next frame, which cannot be acquired while this
+// one is still serializing.
+//
+// A received frame that carries a header is two events: the RECEIVE
+// trigger instant (the write of offset 0x1C) and rx-done. Its words are
+// staged at arrival and registered with the NTI as a pending burst
+// (nti.DMABurst). A word is written into SRAM once its nominal time has
+// come, at the first of three settle points: the trigger event, rx-done,
+// or any CPU access to NTI SRAM — the NTI settles every due word before
+// it serves one. The CPU thus sees memory exactly as under word-by-word
+// DMA, including a stamp-move ISR that writes RxSave before DMA words
+// 13–14 land on it (nti.NTI.DMAWriteOverlaps counts such writes).
+// Writing all words at the trigger instant instead would not be exact.
+//
+// With DMA-word tracing on, every word still emits one dma-word record
+// stamped with its nominal time. Records are emitted when a word is
+// deposited or fetched, so they may trail other layers' later records
+// in emission order; ordering a trace by time restores the word order.
 package comco
 
 import (
@@ -63,87 +94,152 @@ type COMCO struct {
 	// tr is the optional trace sink; trNode is the node id records are
 	// attributed to (the kernel's global node id — may differ from the
 	// medium-local station id on gateway nodes). trWords caches
-	// Options.DMAWords so the per-word hot path is one flag test.
+	// Options.DMAWords so the per-word trace branch is one flag test.
 	tr      *trace.Tracer
 	trNode  int
 	trWords bool
 
-	// Pools for the per-word DMA transfers and the per-frame completion
-	// notification. Every received frame used to allocate one closure
-	// per header/data word (16+ per frame per receiver); pooled jobs
-	// with a prebuilt callback make the steady-state DMA timing model
-	// allocation-free without changing event times or counts.
-	freeJobs []*dmaJob
-	freeDone []*rxDone
+	// Pooled burst records with prebuilt callbacks keep the steady-state
+	// DMA timing model allocation-free.
+	freeTx []*txFetch
+	freeRx []*rxBurst
 }
 
-// dmaJob is one pooled timed 32-bit DMA transfer: a read through the
-// NTI's decode logic into a transmit frame (tx), or a write of a
-// received word into NTI memory (rx).
-type dmaJob struct {
-	c    *COMCO
-	addr uint32
-	val  uint32 // rx: word to deposit
-	buf  []byte // tx: frame payload the read lands in
-	off  int
-	fid  uint64 // frame trace id (flow key)
-	tx   bool
-	trig bool // this word is the TRANSMIT/RECEIVE trigger access
-	run  func()
-}
+// hdrWords is the number of 32-bit words in a CSP header; rxTrigWord is
+// the receive-header word whose write raises RECEIVE.
+const (
+	hdrWords   = nti.HeaderSize / 4
+	rxTrigWord = csp.RxTrigOffset / 4
+)
 
-func (j *dmaJob) fire() {
-	c := j.c
-	tx, addr, buf, off, val := j.tx, j.addr, j.buf, j.off, j.val
-	fid, trig := j.fid, j.trig
-	j.buf = nil
-	c.freeJobs = append(c.freeJobs, j) // release first: the access below may schedule more DMA
-	if tx {
-		binary.BigEndian.PutUint32(buf[off:], c.nti.COMCORead32(addr))
-	} else {
-		c.nti.COMCOWrite32(addr, val)
-	}
-	if c.tr != nil {
-		if c.trWords {
-			c.tr.Emit(trace.KindDMAWord, c.s.Now(), c.trNode, c.channel, fid, uint64(addr), 0)
-		}
-		if trig {
-			k := trace.KindRxTrigger
-			if tx {
-				k = trace.KindTxTrigger
-			}
-			c.tr.Emit(k, c.s.Now(), c.trNode, c.channel, fid, uint64(addr), 0)
-		}
-	}
-}
-
-func (c *COMCO) allocJob() *dmaJob {
-	if n := len(c.freeJobs); n > 0 {
-		j := c.freeJobs[n-1]
-		c.freeJobs[n-1] = nil
-		c.freeJobs = c.freeJobs[:n-1]
-		return j
-	}
-	j := &dmaJob{c: c}
-	j.run = j.fire
-	return j
-}
-
-// rxDone is the pooled end-of-reception notification (the moment the
-// real chip would raise its interrupt).
-type rxDone struct {
+// txFetch is one pooled transmit header fetch: the 16 header reads of
+// one frame, performed together at the TRANSMIT trigger instant.
+type txFetch struct {
 	c       *COMCO
 	base    uint32
-	length  int
-	fid     uint64
-	corrupt bool
+	payload []byte  // frame the header bytes land in
+	fid     uint64  // frame trace id (flow key)
+	t0      float64 // acquisition + arbitration: word 0's read time
 	run     func()
 }
 
-func (d *rxDone) fire() {
-	c := d.c
-	base, length, corrupt, fid := d.base, d.length, d.corrupt, d.fid
-	c.freeDone = append(c.freeDone, d)
+func (x *txFetch) fire() {
+	c := x.c
+	base, payload, fid, t0 := x.base, x.payload, x.fid, x.t0
+	x.payload = nil
+	c.freeTx = append(c.freeTx, x)
+	for off := uint32(0); off < nti.HeaderSize; off += 4 {
+		binary.BigEndian.PutUint32(payload[off:], c.nti.COMCORead32(base+off))
+		if c.tr == nil {
+			continue
+		}
+		t := c.fetchTime(t0, off)
+		if c.trWords {
+			c.tr.Emit(trace.KindDMAWord, t, c.trNode, c.channel, fid, uint64(base+off), 0)
+		}
+		if off == csp.OffTxTrig {
+			c.tr.Emit(trace.KindTxTrigger, t, c.trNode, c.channel, fid, uint64(base+off), 0)
+		}
+	}
+}
+
+// fetchTime is the nominal read time of the transmit header word at
+// off, for a fetch whose first read is at t0: back to back at DMA speed
+// while the FIFO prefills, then paced by the wire draining it.
+func (c *COMCO) fetchTime(t0 float64, off uint32) float64 {
+	if int(off) < c.cfg.TxFIFOBytes {
+		return t0 + float64(off/4)*c.cfg.DMAWordTimeS
+	}
+	preamble := 64 / c.med.Bitrate() // preamble bits on the wire
+	drained := float64(int(off)-c.cfg.TxFIFOBytes) * 8 / c.med.Bitrate()
+	return t0 + preamble + drained
+}
+
+func (c *COMCO) allocTx() *txFetch {
+	if n := len(c.freeTx); n > 0 {
+		x := c.freeTx[n-1]
+		c.freeTx = c.freeTx[:n-1]
+		return x
+	}
+	x := &txFetch{c: c}
+	x.run = x.fire
+	return x
+}
+
+// rxBurst is one received frame's pooled DMA burst: its header and
+// data-slot words, staged at arrival and deposited into NTI memory as
+// their nominal times come due (see the package doc). It implements
+// nti.DMABurst.
+type rxBurst struct {
+	c       *COMCO
+	t0, arb float64 // word w's nominal time is t0 + (arb + w·DMAWordTimeS)
+	base    uint32  // receive header slot
+	data    uint32  // paired data-buffer slot
+	img     []byte  // staged words: header, then data zero-padded to a word
+	next    int     // first word not yet deposited
+	length  int
+	corrupt bool
+	fid     uint64
+	trigFn  func()
+	doneFn  func()
+}
+
+func (b *rxBurst) words() int { return len(b.img) / 4 }
+
+// at is word w's nominal time — the same sum the per-word schedule
+// computed, so a word is due exactly when its own event would have fired.
+func (b *rxBurst) at(w int) float64 { return b.t0 + (b.arb + float64(w)*b.c.cfg.DMAWordTimeS) }
+
+func (b *rxBurst) addr(w int) uint32 {
+	if w < hdrWords {
+		return b.base + uint32(4*w)
+	}
+	return b.data + uint32(4*(w-hdrWords))
+}
+
+// Settle deposits every word whose nominal time has come, in word
+// order. The write of word rxTrigWord raises RECEIVE.
+func (b *rxBurst) Settle() {
+	c := b.c
+	now := c.s.Now()
+	for b.next < b.words() && b.at(b.next) <= now {
+		w := b.next
+		b.next++
+		addr := b.addr(w)
+		c.nti.COMCOWrite32(addr, binary.BigEndian.Uint32(b.img[4*w:]))
+		if c.tr == nil {
+			continue
+		}
+		t := b.at(w)
+		if c.trWords {
+			c.tr.Emit(trace.KindDMAWord, t, c.trNode, c.channel, b.fid, uint64(addr), 0)
+		}
+		if w == rxTrigWord {
+			c.tr.Emit(trace.KindRxTrigger, t, c.trNode, c.channel, b.fid, uint64(addr), 0)
+		}
+	}
+}
+
+// PendingOverlaps reports whether [addr, addr+n) covers a word not yet
+// deposited.
+func (b *rxBurst) PendingOverlaps(addr, n uint32) bool {
+	for w := b.next; w < b.words(); w++ {
+		if a := b.addr(w); a < addr+n && addr < a+4 {
+			return true
+		}
+	}
+	return false
+}
+
+// done is the end of reception (the moment the real chip would raise
+// its interrupt): every word is due by now, so settling retires the
+// burst.
+func (b *rxBurst) done() {
+	c := b.c
+	c.nti.SettleDMA()
+	c.nti.EndDMA(b)
+	base, length, corrupt, fid := b.base, b.length, b.corrupt, b.fid
+	c.freeRx = append(c.freeRx, b)
 	c.rxFrames++
 	if c.tr != nil {
 		c.tr.Emit(trace.KindRxDone, c.s.Now(), c.trNode, c.channel, fid, uint64(base), 0)
@@ -153,16 +249,16 @@ func (d *rxDone) fire() {
 	}
 }
 
-func (c *COMCO) allocDone() *rxDone {
-	if n := len(c.freeDone); n > 0 {
-		d := c.freeDone[n-1]
-		c.freeDone[n-1] = nil
-		c.freeDone = c.freeDone[:n-1]
-		return d
+func (c *COMCO) allocRx() *rxBurst {
+	if n := len(c.freeRx); n > 0 {
+		b := c.freeRx[n-1]
+		c.freeRx = c.freeRx[:n-1]
+		return b
 	}
-	d := &rxDone{c: c}
-	d.run = d.fire
-	return d
+	b := &rxBurst{c: c, img: make([]byte, 0, nti.HeaderSize+nti.DataSlotSize)}
+	// The RECEIVE trigger event only settles: the trigger word is due.
+	b.trigFn, b.doneFn = c.nti.SettleDMA, b.done
+	return b
 }
 
 // New creates a controller on the NTI's channel 0, attaching it to the
@@ -196,7 +292,7 @@ func (c *COMCO) Channel() int { return c.channel }
 func (c *COMCO) Station() int { return c.station }
 
 // OnRxStored installs the frame-reception callback: it fires when the
-// last header word has been deposited in NTI memory, i.e. at the moment
+// burst's last word has been deposited in NTI memory, i.e. at the moment
 // the real chip would raise its reception interrupt. fid is the frame's
 // medium-assigned trace id; corrupt reports a CRC failure — the frame
 // was still DMA'd (and the RECEIVE trigger fired! paper footnote 4) but
@@ -207,8 +303,8 @@ func (c *COMCO) OnRxStored(fn func(fid uint64, headerBase uint32, length int, co
 
 // SetTracer attaches an event tracer (nil detaches), attributing this
 // controller's records to node id `node`. Emitted: tx-trigger,
-// rx-trigger, rx-done, and — when the tracer asks for them — every
-// timed DMA word.
+// rx-trigger, rx-done, and — when the tracer asks for them — every DMA
+// word, stamped with its nominal time.
 func (c *COMCO) SetTracer(tr *trace.Tracer, node int) {
 	c.tr = tr
 	c.trNode = node
@@ -246,85 +342,42 @@ func (c *COMCO) TransmitRaw(payload []byte, dst int) uint64 {
 	return fid
 }
 
-// fetchHeader schedules the DMA reads that fill the frame's header bytes
-// while serialization is under way. Word w is read either during the
-// initial FIFO prefill (back-to-back at DMA speed) or, once the FIFO is
-// primed, paced by the wire draining it.
+// fetchHeader schedules the frame's header fetch at its TRANSMIT
+// trigger instant. Header word reads start after bus arbitration.
 func (c *COMCO) fetchHeader(fid uint64, base uint32, payload []byte, acquiredAt float64) {
 	arb := c.rng.Uniform(c.cfg.ArbMinS, c.cfg.ArbMaxS)
-	preamble := 64 / c.med.Bitrate() // preamble bits on the wire
-	for w := 0; w < nti.HeaderSize/4; w++ {
-		off := uint32(4 * w)
-		var t float64
-		if int(off) < c.cfg.TxFIFOBytes {
-			t = acquiredAt + arb + float64(w)*c.cfg.DMAWordTimeS
-		} else {
-			drained := float64(int(off)-c.cfg.TxFIFOBytes) * 8 / c.med.Bitrate()
-			t = acquiredAt + arb + preamble + drained
-		}
-		j := c.allocJob()
-		j.tx = true
-		j.addr = base + off
-		j.buf = payload
-		j.off = int(off)
-		j.fid = fid
-		j.trig = off == csp.OffTxTrig
-		c.s.At(t, j.run)
-	}
+	x := c.allocTx()
+	x.base, x.payload, x.fid, x.t0 = base, payload, fid, acquiredAt+arb
+	c.s.At(c.fetchTime(x.t0, csp.OffTxTrig), x.run)
 }
 
 // FrameArrived implements network.Station: the controller DMAs the
-// received header into the next receive-header slot, word by word,
-// behind a bus-arbitration delay. The write of the RxTrigOffset word
-// raises RECEIVE in the NTI.
+// received header into the next receive-header slot, and any payload
+// beyond it into the paired data-buffer slot, word by word behind a
+// bus-arbitration delay. The write of the RxTrigOffset word raises
+// RECEIVE in the NTI.
 func (c *COMCO) FrameArrived(f network.Frame) {
 	if len(f.Payload) < nti.HeaderSize {
 		return // runt or background frame: no CSP header to store
 	}
 	slot := c.rxNext
 	c.rxNext = (c.rxNext + 1) % nti.RxHeadersPerCh
-	base := nti.RxHeaderAddrCh(c.channel, slot)
 	arb := c.rng.Uniform(c.cfg.ArbMinS, c.cfg.ArbMaxS)
-	words := nti.HeaderSize / 4
-	for w := 0; w < words; w++ {
-		j := c.allocJob()
-		j.tx = false
-		j.addr = base + uint32(4*w)
-		j.val = binary.BigEndian.Uint32(f.Payload[4*w:])
-		j.fid = f.ID
-		j.trig = uint32(4*w) == csp.RxTrigOffset
-		c.s.After(arb+float64(w)*c.cfg.DMAWordTimeS, j.run)
+	// Payload beyond the header is truncated to the data slot, like a
+	// real descriptor chain would continue — CSPs never need more.
+	n := min(len(f.Payload), nti.HeaderSize+nti.DataSlotSize)
+	b := c.allocRx()
+	b.img = append(b.img[:0], f.Payload[:n]...)
+	for len(b.img)%4 != 0 {
+		b.img = append(b.img, 0) // final partial word, zero-padded
 	}
-	// Payload beyond the header lands in the paired data-buffer slot
-	// (truncated to the slot size, like a real descriptor chain would
-	// continue — CSPs never need more).
-	extra := f.Payload[nti.HeaderSize:]
-	if len(extra) > nti.DataSlotSize {
-		extra = extra[:nti.DataSlotSize]
-	}
-	if len(extra) > 0 {
-		dataBase := nti.DataSlotAddr(c.channel, slot)
-		nw := (len(extra) + 3) / 4
-		for w := 0; w < nw; w++ {
-			j := c.allocJob()
-			j.tx = false
-			j.addr = dataBase + uint32(4*w)
-			j.fid = f.ID
-			j.trig = false
-			if rest := extra[4*w:]; len(rest) >= 4 {
-				j.val = binary.BigEndian.Uint32(rest)
-			} else {
-				var tail [4]byte // final partial word, zero-padded
-				copy(tail[:], rest)
-				j.val = binary.BigEndian.Uint32(tail[:])
-			}
-			c.s.After(arb+float64(words+w)*c.cfg.DMAWordTimeS, j.run)
-		}
-		words += nw
-	}
-	d := c.allocDone()
-	d.base, d.length, d.corrupt, d.fid = base, len(f.Payload), f.Corrupt, f.ID
-	c.s.After(arb+float64(words)*c.cfg.DMAWordTimeS, d.run)
+	b.t0, b.arb, b.next = c.s.Now(), arb, 0
+	b.base = nti.RxHeaderAddrCh(c.channel, slot)
+	b.data = nti.DataSlotAddr(c.channel, slot)
+	b.length, b.corrupt, b.fid = len(f.Payload), f.Corrupt, f.ID
+	c.nti.BeginDMA(b)
+	c.s.After(arb+float64(rxTrigWord)*c.cfg.DMAWordTimeS, b.trigFn)
+	c.s.After(arb+float64(b.words())*c.cfg.DMAWordTimeS, b.doneFn)
 }
 
 // Stats reports frames transmitted and stored.

@@ -539,3 +539,34 @@ func TestKIPayloadIntegrity(t *testing.T) {
 		}
 	}
 }
+
+// TestFastISRStampMoveOverlapsPendingDMA makes the RxSave race
+// observable: a 1 µs stamp-move ISR writes RxSave while DMA words
+// 13–14, which land on the same bytes, are still pending, and the NTI
+// counts each such write. Those words then replace the moved stamp with
+// the sender's bytes. The default CPU's ISR latency (≥ 3 µs) clears the
+// 2.8 µs from the RECEIVE trigger to word 14 on an idle LAN.
+func TestFastISRStampMoveOverlapsPendingDMA(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cpu  cpu.Config
+		want uint64
+	}{
+		{"fast", cpu.Fast(), 5},
+		{"mvme162", cpu.DefaultMVME162(), 0},
+	} {
+		s, _, a, b := pair(t, 11, Config{CPU: tc.cpu, Mode: ModeNTI, UseRxBaseLatch: true})
+		arrivals := 0
+		b.OnCSP(func(Arrival) { arrivals++ })
+		for i := 0; i < 5; i++ {
+			s.At(0.1+0.01*float64(i), func() { a.SendCSP(csp.Packet{Kind: csp.KindCSP}, network.Broadcast) })
+		}
+		s.RunUntil(1)
+		if arrivals != 5 {
+			t.Fatalf("%s: %d CSPs delivered, want 5", tc.name, arrivals)
+		}
+		if got := b.NTI.DMAWriteOverlaps(); got != tc.want {
+			t.Errorf("%s: %d CPU writes overlapped pending DMA words, want %d", tc.name, got, tc.want)
+		}
+	}
+}

@@ -17,11 +17,16 @@
 //   - the three UTCSU interrupt pins are folded into the M-Module's
 //     single vectorized interrupt, with the pin state encoded in the
 //     vector and an enable register written at the end of each ISR.
+//
+// The NTI owns the SRAM, so it is also where lazily deposited COMCO
+// receive bursts (DMABurst) are settled: every CPU access to SRAM first
+// writes each DMA word whose nominal time has come.
 package nti
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ntisim/internal/csp"
 	"ntisim/internal/timefmt"
@@ -100,7 +105,65 @@ type NTI struct {
 	onInterrupt func(vector uint8)
 
 	lostInts uint64
+
+	// dma lists the COMCO receive bursts with words still to deposit, in
+	// arrival order; dmaOverlaps counts CPU writes that landed on one of
+	// those words (see DMAWriteOverlaps).
+	dma         []DMABurst
+	dmaOverlaps uint64
 }
+
+// DMABurst is a COMCO receive burst whose SRAM writes are deposited
+// lazily: the controller keeps the words staged and writes each one, in
+// order and through COMCOWrite32, once its nominal DMA time has come.
+// The NTI settles every registered burst before any CPU access to SRAM,
+// so the CPU observes the same memory as under word-by-word DMA.
+type DMABurst interface {
+	// Settle deposits every word whose nominal time is at or before now.
+	Settle()
+	// PendingOverlaps reports whether [addr, addr+n) covers a word the
+	// burst has yet to deposit.
+	PendingOverlaps(addr, n uint32) bool
+}
+
+// BeginDMA registers a burst with words still to deposit.
+func (n *NTI) BeginDMA(b DMABurst) { n.dma = append(n.dma, b) }
+
+// EndDMA deregisters a burst once it has deposited its last word.
+func (n *NTI) EndDMA(b DMABurst) {
+	if i := slices.Index(n.dma, b); i >= 0 {
+		n.dma = slices.Delete(n.dma, i, i+1)
+	}
+}
+
+// SettleDMA deposits every due word of every registered burst.
+func (n *NTI) SettleDMA() {
+	for _, b := range n.dma {
+		b.Settle()
+	}
+}
+
+// settleForWrite settles the bursts before a CPU write of size bytes at
+// addr, counting the write if it lands on a word still to be deposited.
+func (n *NTI) settleForWrite(addr uint32, size int) {
+	if len(n.dma) == 0 {
+		return
+	}
+	n.SettleDMA()
+	for _, b := range n.dma {
+		if b.PendingOverlaps(addr, uint32(size)) {
+			n.dmaOverlaps++
+			return
+		}
+	}
+}
+
+// DMAWriteOverlaps reports how many CPU writes landed on SRAM words an
+// active COMCO burst had yet to deposit. Those words later overwrite
+// what the CPU wrote. For the stamp-move ISR this means DMA words 13–14
+// replace the moved receive stamp in RxSave with the sender's bytes,
+// which the CI task then consumes as a valid stamp.
+func (n *NTI) DMAWriteOverlaps() uint64 { return n.dmaOverlaps }
 
 // channelState holds one network channel's CPLD state: the latched
 // transmit sample (transparently mapped over the stamp block of the
@@ -198,15 +261,18 @@ func inRxHeaders(addr uint32) (off uint32, ok bool) {
 }
 
 // CPU accesses: plain memory, no special functionality (paper §3.1:
-// "CPU-accesses are just plain memory accesses").
+// "CPU-accesses are just plain memory accesses"). Each SRAM access first
+// settles the pending DMA bursts.
 
 // CPURead copies out of the SRAM.
 func (n *NTI) CPURead(addr uint32, dst []byte) {
+	n.SettleDMA()
 	copy(dst, n.mem[addr:])
 }
 
 // CPUWrite copies into the SRAM.
 func (n *NTI) CPUWrite(addr uint32, src []byte) {
+	n.settleForWrite(addr, len(src))
 	copy(n.mem[addr:], src)
 }
 
@@ -217,6 +283,7 @@ func (n *NTI) CPURead32(addr uint32) uint32 {
 	if addr >= UTCSURegBase && addr < UTCSURegBase+UTCSURegSize {
 		return n.u.ReadReg32(addr - UTCSURegBase)
 	}
+	n.SettleDMA()
 	return binary.BigEndian.Uint32(n.mem[addr:])
 }
 
@@ -225,6 +292,7 @@ func (n *NTI) CPUWrite32(addr uint32, v uint32) {
 		n.u.WriteReg32(addr-UTCSURegBase, v)
 		return
 	}
+	n.settleForWrite(addr, 4)
 	binary.BigEndian.PutUint32(n.mem[addr:], v)
 }
 

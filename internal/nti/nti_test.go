@@ -255,3 +255,49 @@ func TestUTCSURegisterWindowMMIO(t *testing.T) {
 		t.Error("SRAM access broken")
 	}
 }
+
+// fakeBurst is a DMA burst with one pending word at addr, due at the
+// next settle.
+type fakeBurst struct {
+	n       *NTI
+	addr    uint32
+	pending bool
+	settles int
+}
+
+func (b *fakeBurst) Settle() {
+	b.settles++
+	if b.pending && b.settles > 1 {
+		b.n.COMCOWrite32(b.addr, 0xD0D0D0D0)
+		b.pending = false
+	}
+}
+
+func (b *fakeBurst) PendingOverlaps(addr, n uint32) bool {
+	return b.pending && addr < b.addr+4 && b.addr < addr+n
+}
+
+func TestCPUAccessSettlesPendingDMA(t *testing.T) {
+	_, _, n := rig(1)
+	b := &fakeBurst{n: n, addr: DataBase + 8, pending: true}
+	n.BeginDMA(b)
+	// First settle: the word is not yet due, and the write lands on it.
+	n.CPUWrite(DataBase+10, []byte{1})
+	if b.settles != 1 || n.DMAWriteOverlaps() != 1 {
+		t.Fatalf("settles=%d overlaps=%d after a write on a pending word", b.settles, n.DMAWriteOverlaps())
+	}
+	// Second settle deposits the word before the read is served.
+	if v := n.CPURead32(DataBase + 8); v != 0xD0D0D0D0 {
+		t.Fatalf("read %#x, want the deposited DMA word", v)
+	}
+	n.CPUWrite32(DataBase+8, 7)
+	if n.DMAWriteOverlaps() != 1 {
+		t.Error("a write after the word was deposited counted as an overlap")
+	}
+	n.EndDMA(b)
+	var buf [4]byte
+	n.CPURead(DataBase, buf[:])
+	if b.settles != 3 {
+		t.Errorf("burst settled %d times, want 3 (once per access while registered)", b.settles)
+	}
+}
