@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke perfbench-test campaign-check report-smoke report-golden trace-smoke trace-golden discipline-smoke discipline-golden shard-smoke shard-golden serve-smoke serve-golden telemetry-smoke telemetry-golden byzantine-smoke byzantine-golden
+.PHONY: ci vet build test race bench bench-smoke fuzz-smoke perfbench-test campaign-check report-smoke report-golden trace-smoke trace-golden discipline-smoke discipline-golden shard-smoke shard-golden serve-smoke serve-golden telemetry-smoke telemetry-golden byzantine-smoke byzantine-golden
 
 # ci is the gate run by .github/workflows/ci.yml: vet, build, and the
 # full test suite under the race detector (the harness worker pool is
@@ -26,6 +26,13 @@ bench:
 # loop): a cheap CI guard that benchmark code doesn't rot.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# fuzz-smoke runs the sim.Group oracle fuzzer for 10 s: random programs
+# of tickers and cross-shard posts must fire the same events in the same
+# order on a Group as on one global Simulator. The committed seed corpus
+# (internal/sim/testdata/fuzz) also runs as part of `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzGroupMatchesSingleHeap$$' -fuzztime 10s ./internal/sim
 
 # perfbench-test runs the benchmark module's unit tests (a separate Go
 # module under perfbench/, so `go test ./...` at the root skips it): an
@@ -72,79 +79,69 @@ discipline-smoke:
 	$(GO) run ./cmd/nticampaign -preset disciplines -q -report build/discipline-smoke/report.md >/dev/null
 	diff -u cmd/nticampaign/testdata/disciplines.report.golden.md build/discipline-smoke/report.md
 
-# shard-smoke runs the sharded WANs-of-LANs campaign with 4 shard
-# workers per multi-segment cell and byte-diffs its JSONL artifact
-# against the committed golden, which was generated with -shards 1
-# (sequential execution — the single-kernel baseline): the conservative
-# parallel kernel must be bit-identical to it at any worker count.
-# Regenerate after an intentional behavior change with `make
-# shard-golden`.
+# shard-smoke runs the sharded WANs-of-LANs campaign (multi-segment
+# cells on the segment-sharded kernel) and byte-diffs its JSONL artifact
+# against the committed golden. Regenerate after an intentional behavior
+# change with `make shard-golden`.
 shard-smoke:
 	rm -rf build/shard-smoke
-	$(GO) run ./cmd/nticampaign -preset sharded -shards 4 -q -out build/shard-smoke >/dev/null
+	$(GO) run ./cmd/nticampaign -preset sharded -q -out build/shard-smoke >/dev/null
 	diff -u cmd/nticampaign/testdata/sharded.golden.jsonl build/shard-smoke/campaign-sharded.jsonl
 
-# byzantine-smoke runs the Byzantine traitor-tolerance campaign with 4
-# shard workers and byte-diffs its JSONL artifact against the committed
-# golden, which was generated with -shards 1: traitor casts, per-pair
-# lies and source-quarantine decisions are pure functions of the cell
-# seed, so the adversarial grid must be bit-identical at any shard or
-# campaign worker count. Regenerate after an intentional behavior
-# change with `make byzantine-golden`.
+# byzantine-smoke runs the Byzantine traitor-tolerance campaign and
+# byte-diffs its JSONL artifact against the committed golden: traitor
+# casts, per-pair lies and source-quarantine decisions are pure
+# functions of the cell seed, so the adversarial grid must be
+# bit-identical at any campaign worker count. Regenerate after an
+# intentional behavior change with `make byzantine-golden`.
 byzantine-smoke:
 	rm -rf build/byzantine-smoke
-	$(GO) run ./cmd/nticampaign -preset byzantine -shards 4 -q -out build/byzantine-smoke >/dev/null
+	$(GO) run ./cmd/nticampaign -preset byzantine -q -out build/byzantine-smoke >/dev/null
 	diff -u cmd/nticampaign/testdata/byzantine.golden.jsonl build/byzantine-smoke/campaign-byzantine.jsonl
 
 # serve-smoke runs the serving preset (clients × arrival grid, 3 seeds)
-# with 4 shard workers and byte-diffs its JSONL artifact — including the
-# served-accuracy percentiles — against the committed golden, which was
-# generated with -shards 1: query arrival streams and quantile sketches
-# must be bit-identical for any shard/worker count. Regenerate after an
-# intentional behavior change with `make serve-golden`.
+# and byte-diffs its JSONL artifact — including the served-accuracy
+# percentiles — against the committed golden: query arrival streams and
+# quantile sketches must be bit-identical for any worker count.
+# Regenerate after an intentional behavior change with `make
+# serve-golden`.
 serve-smoke:
 	rm -rf build/serve-smoke
-	$(GO) run ./cmd/nticampaign -preset serving -seeds 3 -shards 4 -q -out build/serve-smoke >/dev/null
+	$(GO) run ./cmd/nticampaign -preset serving -seeds 3 -q -out build/serve-smoke >/dev/null
 	diff -u cmd/nticampaign/testdata/serving.golden.jsonl build/serve-smoke/campaign-serving.jsonl
 
 # telemetry-smoke runs the sharded campaign with runtime telemetry on
-# (4 shard workers) and byte-diffs the combined per-tick snapshot
-# artifact against the committed golden, which was generated with
-# -shards 1: every counter, gauge high-water and histogram quantile in
-# every snapshot must be bit-identical at any worker or shard-worker
-# count. Regenerate after an intentional change with `make
-# telemetry-golden`.
+# and byte-diffs the combined per-tick snapshot artifact against the
+# committed golden: every counter, gauge high-water and histogram
+# quantile in every snapshot must be bit-identical at any worker count.
+# Regenerate after an intentional change with `make telemetry-golden`.
 telemetry-smoke:
 	rm -rf build/telemetry-smoke
-	$(GO) run ./cmd/nticampaign -preset sharded -shards 4 -telemetry -q -out build/telemetry-smoke >/dev/null
+	$(GO) run ./cmd/nticampaign -preset sharded -telemetry -q -out build/telemetry-smoke >/dev/null
 	diff -u cmd/nticampaign/testdata/sharded.telemetry.golden.jsonl build/telemetry-smoke/campaign-sharded.telemetry.jsonl
 
-# telemetry-golden refreshes the committed telemetry snapshot golden
-# from a sequential (-shards 1) run.
+# telemetry-golden refreshes the committed telemetry snapshot golden.
 telemetry-golden:
 	rm -rf build/telemetry-golden
-	$(GO) run ./cmd/nticampaign -preset sharded -shards 1 -telemetry -q -out build/telemetry-golden >/dev/null
+	$(GO) run ./cmd/nticampaign -preset sharded -telemetry -q -out build/telemetry-golden >/dev/null
 	cp build/telemetry-golden/campaign-sharded.telemetry.jsonl cmd/nticampaign/testdata/sharded.telemetry.golden.jsonl
 
-# serve-golden refreshes the committed serving campaign golden from a
-# sequential (-shards 1) run.
+# serve-golden refreshes the committed serving campaign golden.
 serve-golden:
 	rm -rf build/serve-golden
-	$(GO) run ./cmd/nticampaign -preset serving -seeds 3 -shards 1 -q -out build/serve-golden >/dev/null
+	$(GO) run ./cmd/nticampaign -preset serving -seeds 3 -q -out build/serve-golden >/dev/null
 	cp build/serve-golden/campaign-serving.jsonl cmd/nticampaign/testdata/serving.golden.jsonl
 
-# shard-golden refreshes the committed sharded campaign golden from a
-# sequential (-shards 1) run.
+# shard-golden refreshes the committed sharded campaign golden.
 shard-golden:
 	rm -rf build/shard-golden
-	$(GO) run ./cmd/nticampaign -preset sharded -shards 1 -q -out build/shard-golden >/dev/null
+	$(GO) run ./cmd/nticampaign -preset sharded -q -out build/shard-golden >/dev/null
 	cp build/shard-golden/campaign-sharded.jsonl cmd/nticampaign/testdata/sharded.golden.jsonl
 
-# byzantine-golden refreshes the committed Byzantine campaign golden
-# from a sequential (-shards 1) run.
+# byzantine-golden refreshes the committed Byzantine campaign golden.
 byzantine-golden:
 	rm -rf build/byzantine-golden
-	$(GO) run ./cmd/nticampaign -preset byzantine -shards 1 -q -out build/byzantine-golden >/dev/null
+	$(GO) run ./cmd/nticampaign -preset byzantine -q -out build/byzantine-golden >/dev/null
 	cp build/byzantine-golden/campaign-byzantine.jsonl cmd/nticampaign/testdata/byzantine.golden.jsonl
 
 # discipline-golden refreshes the committed discipline shootout golden.

@@ -164,19 +164,12 @@ func BenchmarkE13HardwareMeasured(b *testing.B) {
 // seconds of a synchronized n-node system per wall-clock second.
 //
 // The nodes-128/nodes-512 sub-benchmarks run the footnote-2
-// WANs-of-LANs topology under three engines on the same commit:
-//
-//   - flat / wolNN-single: the classic single-kernel paths (one flat
-//     LAN, and the legacy direct-attach multi-segment builder);
-//   - wolNN-shards01: the segment-sharded engine executed sequentially
-//     (byte-identical to any other shard count);
-//   - wolNN-shardsNN: one worker goroutine per segment.
-//
-// On a single-CPU host the sharded speedup is purely algorithmic —
+// WANs-of-LANs topology (nodes-NNN-wolSS: SS segments on the
+// segment-sharded kernel); nodes-128-flat puts the same 128 nodes on
+// one LAN for comparison. The sharded speedup is algorithmic —
 // per-segment event heaps and O(receivers) frame delivery instead of
-// one global heap with O(stations) fan-out; multicore hosts add
-// wall-clock parallelism on top. See BENCH_kernel.json's "sharded"
-// section.
+// one global heap with O(stations) fan-out. See BENCH_kernel.json's
+// "sharded" section.
 func BenchmarkClusterScaling(b *testing.B) {
 	for _, n := range []int{2, 4, 8, 16, 32} {
 		n := n
@@ -203,9 +196,6 @@ func BenchmarkClusterScaling(b *testing.B) {
 	}
 	for _, tc := range []struct{ nodes, segments int }{{128, 8}, {512, 16}} {
 		tc := tc
-		base := cluster.Defaults(tc.nodes, benchSeed)
-		base.Sync.F = 1 // keep gateways per link at F+1 = 2 as n grows
-		per := tc.nodes / tc.segments
 		if tc.nodes == 128 {
 			// The flat-LAN shape of the classic scaling series, at a size
 			// it was never built for: every CSP fans out to 127 receivers.
@@ -213,18 +203,12 @@ func BenchmarkClusterScaling(b *testing.B) {
 				return cluster.New(cluster.Defaults(tc.nodes, benchSeed))
 			})
 		}
-		runWol(fmt.Sprintf("nodes-%03d-wol%02d-single", tc.nodes, tc.segments), func() *cluster.Cluster {
-			return cluster.NewWANOfLANsGW(base, tc.segments, per, 2)
+		runWol(fmt.Sprintf("nodes-%03d-wol%02d", tc.nodes, tc.segments), func() *cluster.Cluster {
+			cfg := cluster.Defaults(tc.nodes, benchSeed)
+			cfg.Sync.F = 1 // keep gateways per link at F+1 = 2 as n grows
+			cfg.Segments = tc.segments
+			return cluster.New(cfg)
 		})
-		for _, shards := range []int{1, tc.segments} {
-			shards := shards
-			runWol(fmt.Sprintf("nodes-%03d-wol%02d-shards%02d", tc.nodes, tc.segments, shards), func() *cluster.Cluster {
-				cfg := base
-				cfg.Segments = tc.segments
-				cfg.Shards = shards
-				return cluster.New(cfg)
-			})
-		}
 	}
 }
 

@@ -15,8 +15,8 @@
 //	nticampaign -preset smoke -write-golden testdata/smoke.golden.json
 //	nticampaign -refine load=2e-6            # bisect load until mean
 //	                                         # precision crosses 2 µs
-//	nticampaign -preset sharded -shards 4    # multi-segment cells on 4
-//	                                         # shard workers each
+//	nticampaign -preset sharded              # multi-segment cells on the
+//	                                         # segment-sharded kernel
 //	nticampaign -preset smoke -telemetry -out artifacts/  # + runtime metric
 //	                                         # snapshots and health flags
 //	nticampaign -preset matrix -monitor :8080  # live status for cmd/ntitop
@@ -31,9 +31,9 @@
 // target is bracketed to -refine-tol; -refine-ci additionally demands
 // the bootstrap 95% CI across seeds clear the target before a bracket
 // moves, stopping (noise-limited) when seeds can't resolve it.
-// -shards sets the worker-goroutine count of each multi-segment cell's
-// sharded kernel — a pure execution knob: artifacts are byte-identical
-// for every value (the determinism contract of internal/sim.Group).
+// Multi-segment cells run one sub-simulator per LAN segment, executed
+// sequentially in conservative windows (internal/sim.Group); campaign
+// parallelism comes from -workers, across cells.
 package main
 
 import (
@@ -109,7 +109,7 @@ var presets = map[string]preset{
 		},
 	},
 	"sharded": {
-		desc: "WANs-of-LANs segments × nodes grid on the segment-sharded kernel (shard-count byte-identity gate)",
+		desc: "WANs-of-LANs segments × nodes grid on the segment-sharded kernel (byte-identity gate)",
 		points: func() []harness.Point {
 			return harness.Cross(harness.SegmentsAxis(1, 2, 4), harness.NodesAxis(8, 16))
 		},
@@ -341,7 +341,6 @@ func main() {
 		refine      = flag.String("refine", "", "adaptive refinement instead of the preset grid: axis=target, e.g. load=2e-6 (axes: "+refineChoices()+")")
 		refineTol   = flag.Float64("refine-tol", 0, "axis tolerance for -refine (default: range/64)")
 		refineCI    = flag.Bool("refine-ci", false, "variance-aware -refine: bisect only while the bootstrap 95% CI across seeds clears the target (use with -seeds > 1)")
-		shards      = flag.Int("shards", 0, "worker goroutines per multi-segment (sharded) cell; 0 = auto. Execution-only knob: artifacts are byte-identical for every value")
 		telem       = flag.Bool("telemetry", false, "capture runtime telemetry per cell: per-tick metric snapshots (with -out: one combined .telemetry.jsonl) plus watchdog health flags in artifacts and reports")
 		monitorAddr = flag.String("monitor", "", "serve live campaign status on this host:port (/campaign.json for ntitop, /metrics for Prometheus scrapers); implies -telemetry")
 		quiet       = flag.Bool("q", false, "suppress per-cell progress on stderr")
@@ -382,7 +381,6 @@ func main() {
 		Seeds:   seeds,
 		Workers: *workers,
 	}
-	spec.Base.Shards = *shards
 	if p.spec != nil {
 		p.spec(&spec)
 	}

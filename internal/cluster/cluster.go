@@ -74,19 +74,18 @@ type Config struct {
 	GatewaysPerLink int
 	// WANDelayS is the one-way WAN propagation delay between adjacent
 	// segments of a sharded topology — and therefore the conservative
-	// lookahead of the parallel kernel. 0 means DefaultWANDelayS.
+	// lookahead of its sim.Group. 0 means DefaultWANDelayS.
 	WANDelayS float64
 	// Serving describes the simulated client population querying the
 	// cluster for time (internal/service): open-loop arrival streams
 	// aggregated per node, feeding served-accuracy sketches. The zero
 	// value (Clients == 0) disables serving entirely.
 	Serving service.Config
-	// Shards is the worker-goroutine count driving the sharded
-	// topology's sub-simulators: 1 executes the shards sequentially
-	// (the single-kernel baseline), N runs up to N segments
-	// concurrently, 0 picks min(Segments, GOMAXPROCS). Results are
-	// byte-identical for every value — the shard decomposition is
-	// fixed by Segments; Shards only chooses execution parallelism.
+	// Shards is read by nothing: a sharded topology always runs its
+	// segment shards sequentially. It remains only because the
+	// benchmark harness still sets it.
+	//
+	// Deprecated: no effect; shards always run sequentially.
 	Shards int
 	// Tracer, when non-nil, is wired through every layer of the cluster
 	// (simulation kernel, media, node kernels, synchronizers, GPS
@@ -194,7 +193,7 @@ type Cluster struct {
 	// use the RunUntil/Now/EventCount wrappers, which dispatch to the
 	// Group for sharded clusters.
 	Sim *sim.Simulator
-	// Group is the conservative parallel composition of the per-segment
+	// Group is the conservative windowed composition of the per-segment
 	// sub-simulators; nil for unsharded clusters.
 	Group *sim.Group
 	// Med is the (first) medium; Media lists all segments in a
@@ -206,9 +205,8 @@ type Cluster struct {
 	// regular node, in member order) when cfg.Serving enables a client
 	// population; empty otherwise. See serving.go.
 	ServingGens []*service.Generator
-	tracers     []*trace.Tracer       // per-shard tracers of a sharded cluster
-	telems      []*telemetry.Registry // per-shard registries of a sharded cluster
-	adv         *adversary.Layer      // nil without an adversary spec
+	shards      []home           // per-shard contexts of a sharded cluster
+	adv         *adversary.Layer // nil without an adversary spec
 	cfg         Config
 }
 
@@ -250,41 +248,74 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{Sim: s, Med: med, Media: []*network.Medium{med}, cfg: cfg}
 	c.adv = adversary.NewLayer(cfg.Adversary, cfg.Seed, cfg.Nodes, 1)
+	h := home{sim: s, tr: cfg.Tracer, reg: cfg.Telemetry}
 	for i := 0; i < cfg.Nodes; i++ {
-		oc := oscillator.TCXO(cfg.OscHz)
-		if cfg.OscillatorFor != nil {
-			oc = cfg.OscillatorFor(i)
-		}
-		osc := oscillator.New(s, oc, fmt.Sprintf("node%d", i))
-		u := utcsu.New(s, utcsu.Config{Osc: osc})
-		// The adversary sits between the medium and the node's COMCO:
-		// WrapBus is the identity when nobody attacks.
-		bus := c.adv.WrapBus(med, i, 0, s, cfg.Tracer, cfg.Telemetry)
-		node := kernel.NewNode(s, uint16(i), u, bus, cfg.Kernel, cfg.COMCO)
-		m := &Member{Index: i, Osc: osc, U: u, Node: node}
-		var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: u}
-		if cfg.ClockFactory != nil {
-			clk = cfg.ClockFactory(u)
-		}
-		m.Sync = clocksync.New(node, clk, cfg.Sync)
-		if gc, hasGPS := cfg.GPS[i]; hasGPS {
-			attachReferences(s, cfg.Tracer, m, gc, fmt.Sprintf("node%d", i), &cfg)
-		}
-		if cfg.Tracer != nil {
-			node.SetTracer(cfg.Tracer)
-			m.Sync.SetTracer(cfg.Tracer)
-			if m.Rx != nil {
-				m.Rx.SetTracer(cfg.Tracer, i)
-			}
-		}
-		m.Sync.SetTelemetry(cfg.Telemetry)
-		c.Members = append(c.Members, m)
+		c.addMember(h, "node", 0, med)
 	}
 	if cfg.BackgroundLoad > 0 {
 		med.StartBackgroundLoad(cfg.BackgroundLoad, 400)
 	}
 	c.attachServing()
 	return c
+}
+
+// home is the execution context a member is built on: its shard and
+// that shard's simulator, tracer and telemetry registry (the cluster's
+// own simulator, tracer and registry on a flat LAN).
+type home struct {
+	shard int
+	sim   *sim.Simulator
+	tr    *trace.Tracer
+	reg   *telemetry.Registry
+}
+
+// homeOf returns the execution context member m was built on.
+func (c *Cluster) homeOf(m *Member) home {
+	if c.Group == nil {
+		return home{sim: c.Sim, tr: c.cfg.Tracer, reg: c.cfg.Telemetry}
+	}
+	return c.shards[m.Shard]
+}
+
+// addMember builds the next member (index len(c.Members)) on h,
+// attached to bus, and appends it. The oscillator and GNSS labels
+// prefix+index seed the node's RNG streams, so they are part of the
+// determinism contract.
+func (c *Cluster) addMember(h home, prefix string, segment int, bus network.Bus) *Member {
+	cfg := &c.cfg
+	id := len(c.Members)
+	label := fmt.Sprintf("%s%d", prefix, id)
+	oc := oscillator.TCXO(cfg.OscHz)
+	if cfg.OscillatorFor != nil {
+		oc = cfg.OscillatorFor(id)
+	}
+	osc := oscillator.New(h.sim, oc, label)
+	u := utcsu.New(h.sim, utcsu.Config{Osc: osc})
+	// The adversary sits between the medium and the node's COMCO
+	// (identity when nobody attacks): lies are applied at delivery on
+	// the receiver's shard, so the decomposition never changes what any
+	// node hears.
+	bus = c.adv.WrapBus(bus, id, h.shard, h.sim, h.tr, h.reg)
+	node := kernel.NewNode(h.sim, uint16(id), u, bus, cfg.Kernel, cfg.COMCO)
+	m := &Member{Index: id, Segment: segment, Shard: h.shard, Osc: osc, U: u, Node: node}
+	var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: u}
+	if cfg.ClockFactory != nil {
+		clk = cfg.ClockFactory(u)
+	}
+	m.Sync = clocksync.New(node, clk, cfg.Sync)
+	if gc, hasGPS := cfg.GPS[id]; hasGPS {
+		attachReferences(h.sim, h.tr, m, gc, label, cfg)
+	}
+	if h.tr != nil {
+		node.SetTracer(h.tr)
+		m.Sync.SetTracer(h.tr)
+		if m.Rx != nil {
+			m.Rx.SetTracer(h.tr, id)
+		}
+	}
+	m.Sync.SetTelemetry(h.reg)
+	c.Members = append(c.Members, m)
+	return m
 }
 
 // attachReferences wires member m's GNSS reference sources: the
@@ -386,7 +417,11 @@ func (c *Cluster) Trace() *trace.Tracer {
 	if c.Group == nil || c.cfg.Tracer == nil {
 		return c.cfg.Tracer
 	}
-	return trace.MergeShards(c.tracers)
+	trs := make([]*trace.Tracer, len(c.shards))
+	for i, h := range c.shards {
+		trs[i] = h.tr
+	}
+	return trace.MergeShards(trs)
 }
 
 // Snapshot samples all clocks simultaneously.
@@ -406,12 +441,10 @@ func (c *Cluster) TelemetrySnapshot() (telemetry.Snapshot, bool) {
 	if c.cfg.Telemetry == nil {
 		return telemetry.Snapshot{}, false
 	}
-	if len(c.telems) == 0 {
-		return telemetry.Capture(c.Now(), c.cfg.Telemetry), true
+	regs := []*telemetry.Registry{c.cfg.Telemetry}
+	for _, h := range c.shards {
+		regs = append(regs, h.reg)
 	}
-	regs := make([]*telemetry.Registry, 0, len(c.telems)+1)
-	regs = append(regs, c.cfg.Telemetry)
-	regs = append(regs, c.telems...)
 	return telemetry.Capture(c.Now(), regs...), true
 }
 
@@ -452,4 +485,32 @@ func (c *Cluster) MeasureDelay(a, b, probes int) clocksync.DelayBounds {
 	// displaced on member a.
 	c.Members[a].Sync.ReinstallHandler()
 	return res
+}
+
+// SegmentPrecision computes max|Cp−Cq| over the members of one segment
+// (gateways excluded), from a fresh snapshot.
+func (c *Cluster) SegmentPrecision(segment int) float64 {
+	var lo, hi float64
+	first := true
+	for _, m := range c.Members {
+		if m.Segment != segment {
+			continue
+		}
+		off, _, _ := m.OffsetAndBounds()
+		if first {
+			lo, hi = off, off
+			first = false
+			continue
+		}
+		if off < lo {
+			lo = off
+		}
+		if off > hi {
+			hi = off
+		}
+	}
+	if first {
+		return 0
+	}
+	return hi - lo
 }

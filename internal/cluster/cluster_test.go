@@ -424,3 +424,38 @@ func TestConfigClone(t *testing.T) {
 		t.Errorf("Sync aliased between clone and original")
 	}
 }
+
+func TestClusterLeapSecond(t *testing.T) {
+	// Hardware leap-second support (paper §3.3) across a synchronized
+	// cluster: every node arms its leap timer for the same UTC second;
+	// afterwards the ensemble is still tight and the clocks stepped
+	// together by -1 s relative to true time.
+	c := New(Defaults(4, 24))
+	c.Start(1)
+	c.Sim.RunUntil(10)
+	leapAt := timefmt.Stamp(timefmt.DurationFromSeconds(30))
+	for _, m := range c.Members {
+		m.U.LeapAt(leapAt, +1)
+	}
+	c.Sim.RunUntil(29)
+	before := c.Snapshot()
+	c.Sim.RunUntil(40)
+	after := c.Snapshot()
+	if after.Precision > 10e-6 {
+		t.Errorf("precision after leap: %v", after.Precision)
+	}
+	// All clocks now read ~1 s behind true time (inserted second).
+	for i, off := range after.Offsets {
+		if off > -0.9 || off < -1.1 {
+			t.Errorf("node %d offset after leap insert: %v", i, off)
+		}
+	}
+	_ = before
+}
+
+func TestSegmentPrecisionEmpty(t *testing.T) {
+	c := New(Defaults(2, 25))
+	if p := c.SegmentPrecision(7); p != 0 {
+		t.Errorf("empty segment precision %v", p)
+	}
+}

@@ -1,9 +1,9 @@
 // Serving wiring: attaching the internal/service client population to
 // a built cluster. Every regular node (Segment >= 0; gateways carry
 // WAN traffic, not client-facing service) gets one aggregate arrival
-// generator homed on the node's own shard simulator, so a sharded run
-// serves its population fully in parallel with zero cross-shard
-// coordination — the generators only read their own node's UTCSU.
+// generator homed on the node's own shard simulator, so serving needs
+// no cross-shard coordination — the generators only read their own
+// node's UTCSU.
 package cluster
 
 import (
@@ -18,8 +18,8 @@ import (
 // cfg.Serving. Segment weights follow RegionalSkew (weight of segment s
 // ∝ skew^s, normalized), split evenly over the segment's serving
 // nodes. Generator RNG streams derive from (Seed, node index) only —
-// never from a shard's RNG universe — so arrival counts are identical
-// at any shard or worker count.
+// never from a shard's RNG universe — so a node's arrivals depend only
+// on its seed and its rate, never on the shard it runs on.
 func (c *Cluster) attachServing() {
 	sc := c.cfg.Serving
 	if sc.Clients <= 0 {
@@ -57,24 +57,15 @@ func (c *Cluster) attachServing() {
 			continue
 		}
 		qps := totalQPS * weights[m.Segment] / wsum / float64(perSeg[m.Segment])
-		s := c.Sim
-		tr := c.cfg.Tracer
-		if c.Group != nil {
-			s = c.Group.Shard(m.Shard)
-			tr = c.tracers[m.Shard]
-		}
+		h := c.homeOf(m)
 		mem := m
 		seed := sim.DeriveSeed(c.cfg.Seed, fmt.Sprintf("service/node/%d", m.Index))
-		g := service.New(s, sc, m.Index, seed, qps, func() float64 {
+		g := service.New(h.sim, sc, m.Index, seed, qps, func() float64 {
 			off, _, _ := mem.OffsetAndBounds()
 			return math.Abs(off)
-		}, tr)
-		if c.cfg.Telemetry != nil {
-			reg := c.cfg.Telemetry
-			if c.telems != nil {
-				reg = c.telems[m.Shard]
-			}
-			g.SetTelemetry(reg)
+		}, h.tr)
+		if h.reg != nil {
+			g.SetTelemetry(h.reg)
 		}
 		c.ServingGens = append(c.ServingGens, g)
 	}

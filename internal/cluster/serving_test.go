@@ -34,29 +34,38 @@ func runServing(t *testing.T, cfg Config, windowS float64) (service.Stats, *Clus
 	return c.ServingReport(c.Now() - begin), c
 }
 
+// TestServingShardCountInvariance: arrival streams are a pure function
+// of (seed, node), so the same four nodes serve exactly the same query
+// counts whether they form one flat LAN or two sharded segments. The
+// sharded run also keeps its nominal mean rate and ordered percentiles.
 func TestServingShardCountInvariance(t *testing.T) {
-	cfg1 := servingConfig(99)
-	cfg1.Shards = 1
-	st1, _ := runServing(t, cfg1, 5)
-
-	cfg2 := servingConfig(99)
-	cfg2.Shards = 2
-	st2, _ := runServing(t, cfg2, 5)
-
-	if st1.Queries == 0 {
+	uniform := func(segments int) Config {
+		cfg := servingConfig(99)
+		cfg.Segments = segments
+		cfg.Serving.RegionalSkew = 1
+		return cfg
+	}
+	_, flat := runServing(t, uniform(1), 5)
+	st, sharded := runServing(t, uniform(2), 5)
+	if st.Queries == 0 {
 		t.Fatal("no queries served")
 	}
-	if st1 != st2 {
-		t.Errorf("serving stats differ across shard worker counts:\n 1: %+v\n 2: %+v", st1, st2)
+	if len(flat.ServingGens) != len(sharded.ServingGens) {
+		t.Fatalf("generators: flat %d, sharded %d", len(flat.ServingGens), len(sharded.ServingGens))
 	}
-	if !(st1.ErrP50S <= st1.ErrP99S && st1.ErrP99S <= st1.ErrP999S && st1.ErrP999S <= st1.ErrMaxS) {
-		t.Errorf("percentiles out of order: %+v", st1)
+	for i, g := range sharded.ServingGens {
+		if a, b := flat.ServingGens[i].Queries(), g.Queries(); a != b {
+			t.Errorf("node %d: %d queries on one LAN, %d on two segments", i, a, b)
+		}
+	}
+	if !(st.ErrP50S <= st.ErrP99S && st.ErrP99S <= st.ErrP999S && st.ErrP999S <= st.ErrMaxS) {
+		t.Errorf("percentiles out of order: %+v", st)
 	}
 	// Open-loop mmpp preserves the nominal mean rate: 50000 clients x
 	// 0.1 qps = 5000 qps. Short-window burst variance is large; accept
 	// a broad band around it.
-	if st1.QPS < 2000 || st1.QPS > 12000 {
-		t.Errorf("QPS = %.0f, want ~5000", st1.QPS)
+	if st.QPS < 2000 || st.QPS > 12000 {
+		t.Errorf("QPS = %.0f, want ~5000", st.QPS)
 	}
 }
 

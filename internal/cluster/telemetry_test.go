@@ -61,7 +61,6 @@ func TestTelemetrySnapshotMergesShards(t *testing.T) {
 	cfg := Defaults(8, 1)
 	cfg.Segments = 2
 	cfg.Sync.F = 1
-	cfg.Shards = 1
 	cfg.Telemetry = telemetry.New()
 	c := New(cfg)
 	c.Start(1)

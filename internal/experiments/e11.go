@@ -10,9 +10,11 @@ import (
 // E11WANOfLANs reproduces paper footnote 2: "our approach can also be
 // adopted to more general topologies commonly known as WANs-of-LANs,
 // provided that all gateway nodes are also equipped with the NTI". Two
-// LAN segments are chained by a gateway node whose single UTCSU serves
+// LAN segments are chained by gateway nodes whose single UTCSU serves
 // a COMCO on each segment (two SSU pairs), so the segments' ensembles
-// couple through its interval clock.
+// couple through its interval clock. The cluster is the segment-sharded
+// topology of cluster.New: each segment runs on its own sub-simulator,
+// and gateway frames cross the WAN link with its propagation delay.
 func E11WANOfLANs(seed uint64) Result {
 	r := Result{
 		ID:         "E11",
@@ -21,30 +23,31 @@ func E11WANOfLANs(seed uint64) Result {
 		Claims:     map[string]bool{},
 		Numbers:    map[string]float64{},
 	}
-	base := cluster.Defaults(11, seed)
+	cfg := cluster.Defaults(10, seed)
+	cfg.Segments = 2
 	// Each node only sees its segment's ~6 members; F must be sized to
 	// that view, or the fault-tolerant midpoint discards the (single)
 	// gateway reference and the segments decouple.
-	base.Sync.F = 1
+	cfg.Sync.F = 1
 	// F+1 = 2 redundant gateways per link: an f-trimming convergence
 	// function ignores a single bridge's reference entirely (it is
 	// always the extremum from inside a segment), so coupling under
 	// fault tolerance needs > f gateways — a reproduction finding that
 	// sharpens footnote 2.
-	c := cluster.NewWANOfLANs(base, 2, 5)
+	c := cluster.New(cfg)
 	// Calibrate delay bounds within segment 0 and share them (symmetric
 	// segments).
 	b := c.MeasureDelay(0, 1, 16)
 	for _, m := range c.Members {
 		m.Sync.SetDelayBounds(b)
 	}
-	c.Start(c.Sim.Now() + 1)
-	c.Sim.RunUntil(c.Sim.Now() + 30)
+	c.Start(c.Now() + 1)
+	c.RunUntil(c.Now() + 30)
 
 	var global, seg0, seg1 metrics.Series
-	start := c.Sim.Now()
+	start := c.Now()
 	for t := start; t <= start+120; t += 1 {
-		c.Sim.RunUntil(t)
+		c.RunUntil(t)
 		cs := c.Snapshot()
 		global.Add(cs.Precision)
 		seg0.Add(c.SegmentPrecision(0))

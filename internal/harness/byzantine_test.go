@@ -12,10 +12,9 @@ import (
 // byzantineSpec is a small slice of the byzantine campaign preset: a
 // 2-segment 8-node cluster with colluding traitors, triple GNSS
 // sources, a mid-window spoof, and an honest baseline point.
-func byzantineSpec(workers, shards int) Spec {
+func byzantineSpec(workers int) Spec {
 	base := cluster.Defaults(8, 1)
 	base.Segments = 2
-	base.Shards = shards
 	base.Sync.F = 2
 	base.Sync.SourceF = 1
 	base.GPS = map[int]gps.Config{0: gps.DefaultReceiver(), 1: gps.DefaultReceiver()}
@@ -44,22 +43,17 @@ func byzantineSpec(workers, shards int) Spec {
 // TestByzantineDeterminism extends the harness' core guarantee to
 // adversarial cells: traitor casts, per-receiver lies, and multi-source
 // quarantine decisions are pure functions of the cell seed, so the same
-// byzantine grid is byte-identical across 1-vs-N workers crossed with
-// 1-vs-N shards per cluster.
+// byzantine grid is byte-identical across 1-vs-N campaign workers.
 func TestByzantineDeterminism(t *testing.T) {
-	ref := Run(byzantineSpec(1, 1))
+	ref := Run(byzantineSpec(1))
 	for _, r := range ref.Results {
 		if r.Err != "" {
 			t.Fatalf("cell %s errored: %s", r.Key(), r.Err)
 		}
 	}
 	want := jsonl(t, ref)
-	for _, cfg := range []struct{ workers, shards int }{{4, 1}, {1, 4}, {4, 4}} {
-		got := jsonl(t, Run(byzantineSpec(cfg.workers, cfg.shards)))
-		if !bytes.Equal(want, got) {
-			t.Fatalf("JSONL differs at %d workers / %d shards:\n--- 1/1 ---\n%s\n--- %d/%d ---\n%s",
-				cfg.workers, cfg.shards, want, cfg.workers, cfg.shards, got)
-		}
+	if got := jsonl(t, Run(byzantineSpec(4))); !bytes.Equal(want, got) {
+		t.Fatalf("JSONL differs at 4 workers:\n--- 1 ---\n%s\n--- 4 ---\n%s", want, got)
 	}
 }
 
@@ -68,7 +62,7 @@ func TestByzantineDeterminism(t *testing.T) {
 // super-F traitor cell reports its cast, its delivered lies, and the
 // spoof-window source rejections.
 func TestByzantineTotals(t *testing.T) {
-	c := Run(byzantineSpec(1, 1))
+	c := Run(byzantineSpec(1))
 	if len(c.Results) != 2 {
 		t.Fatalf("cells = %d, want 2", len(c.Results))
 	}

@@ -40,10 +40,7 @@ func NodesAxis(ns ...int) Axis {
 }
 
 // SegmentsAxis sweeps the WANs-of-LANs segment count of the sharded
-// topology (1 = single LAN). The worker count (cluster.Config.Shards)
-// is deliberately not a point parameter: it cannot change results —
-// that's the sharded kernel's determinism contract — so it is set on
-// the Spec's base config, like Spec.Workers.
+// topology (1 = single LAN).
 func SegmentsAxis(segs ...int) Axis {
 	if len(segs) == 0 {
 		segs = []int{1, 2, 4, 8}

@@ -10,11 +10,10 @@ import (
 
 // servingSpec is a small serving campaign over a sharded topology:
 // clients × arrival grid, 2 seeds.
-func servingSpec(workers, shards int) Spec {
+func servingSpec(workers int) Spec {
 	base := cluster.Defaults(4, 1)
 	base.Segments = 2
 	base.Sync.F = 0
-	base.Shards = shards
 	base.Serving.RegionalSkew = 1.5
 	return Spec{
 		Name:         "serving-test",
@@ -31,11 +30,10 @@ func servingSpec(workers, shards int) Spec {
 
 // TestServingByteIdentity is the serving subsystem's determinism
 // contract: served-accuracy metrics in the JSONL artifact are
-// byte-identical across 1-vs-N campaign workers and 1-vs-N shard
-// workers, because arrival streams derive from (seed, node) alone and
-// sketches merge exactly.
+// byte-identical across 1-vs-N campaign workers, because arrival
+// streams derive from (seed, node) alone and sketches merge exactly.
 func TestServingByteIdentity(t *testing.T) {
-	ref := Run(servingSpec(1, 1))
+	ref := Run(servingSpec(1))
 	for _, r := range ref.Results {
 		if r.Err != "" {
 			t.Fatalf("cell %s errored: %s", r.Key(), r.Err)
@@ -55,18 +53,8 @@ func TestServingByteIdentity(t *testing.T) {
 	if !strings.Contains(string(want), `"serving":{`) {
 		t.Fatal("JSONL carries no serving records")
 	}
-	for _, v := range []struct {
-		name            string
-		workers, shards int
-	}{
-		{"4-workers", 4, 1},
-		{"2-shards", 1, 2},
-		{"4-workers-2-shards", 4, 2},
-	} {
-		got := jsonl(t, Run(servingSpec(v.workers, v.shards)))
-		if !bytes.Equal(want, got) {
-			t.Errorf("%s: JSONL differs from the 1-worker 1-shard reference", v.name)
-		}
+	if got := jsonl(t, Run(servingSpec(4))); !bytes.Equal(want, got) {
+		t.Errorf("JSONL at 4 workers differs from the 1-worker reference")
 	}
 }
 

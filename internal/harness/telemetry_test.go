@@ -53,33 +53,31 @@ func TestTelemetryByteIdentityAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTelemetryByteIdentityAcrossShards is the same guarantee against
-// the other execution knob: a multi-segment cell's snapshot stream must
-// not depend on how many worker goroutines drive its sharded kernel.
-// Counters and histograms merge by name across the per-shard
-// registries; gauges stay shard-tagged — either way the decomposition
-// is fixed by Segments, never by Shards.
+// TestTelemetryByteIdentityAcrossShards extends the same guarantee to
+// multi-segment cells, whose snapshots merge one private registry per
+// shard: counters and histograms merge by name, gauges stay
+// shard-tagged, and the merged stream is byte-identical on 1 and 4
+// campaign workers.
 func TestTelemetryByteIdentityAcrossShards(t *testing.T) {
-	mk := func(shards int) *Campaign {
+	mk := func(workers int) *Campaign {
 		base := cluster.Defaults(8, 1)
 		base.Segments = 2
 		base.Sync.F = 1
-		base.Shards = shards
 		sp := Spec{
 			Name:         "shard-telemetry",
 			Base:         base,
 			Points:       NodesAxis(8).Points,
-			Seeds:        []uint64{7},
+			Seeds:        []uint64{7, 8},
 			WarmupS:      2,
 			WindowS:      8,
 			SampleEveryS: 1,
 			DelayProbes:  4,
-			Workers:      1,
+			Workers:      workers,
 			Telemetry:    true,
 		}
 		return Run(sp)
 	}
-	one, many := mk(1), mk(2)
+	one, many := mk(1), mk(4)
 	for _, r := range one.Results {
 		if r.Err != "" {
 			t.Fatalf("cell %s errored: %s", r.Key(), r.Err)
@@ -87,7 +85,7 @@ func TestTelemetryByteIdentityAcrossShards(t *testing.T) {
 	}
 	a, b := telemetryJSONL(t, one), telemetryJSONL(t, many)
 	if !bytes.Equal(a, b) {
-		t.Fatalf("telemetry JSONL differs between shards=1 and shards=2")
+		t.Fatalf("telemetry JSONL of sharded cells differs between 1 and 4 workers")
 	}
 	// Sharded cells must actually carry shard-tagged gauges.
 	if !bytes.Contains(a, []byte(telemetry.MetricShardEvents+"@0")) ||

@@ -1,4 +1,4 @@
-// Conservative parallel composition of Simulators.
+// Conservative windowed composition of Simulators.
 //
 // A Group runs S independent sub-simulators ("shards") in lock-step
 // windows of width equal to the lookahead: within a window every shard
@@ -12,13 +12,12 @@
 // conservative (Chandy–Misra style) synchronization argument, with
 // the barrier playing the role of the null message (see DESIGN.md §8).
 //
-// Determinism is independent of the worker count: the shard
-// decomposition, the window boundaries, and the mailbox flush order
-// depend only on (lookahead, horizon, posting shard, posting order) —
-// never on goroutine scheduling. Worker goroutines only ever touch
-// disjoint shards inside a window, and all cross-shard state crosses
-// the barrier through channels, so runs are race-free and
-// byte-identical for 1 and N workers.
+// The shards run one after another, in index order, on the calling
+// goroutine; no goroutine is started. The windows and the canonical
+// end-of-window flush still matter, because they fix where cross-shard
+// events land in their destination queue: the destination's (at, seq)
+// tie-break is a pure function of (lookahead, horizon, posting shard,
+// posting order), never of which shard happened to run first.
 package sim
 
 import (
@@ -51,15 +50,11 @@ type crossPost struct {
 }
 
 // Group composes per-shard Simulators under windowed conservative
-// synchronization. The zero value is not usable; call NewGroup.
-//
-// A Group is driven from a single goroutine (RunUntil); the configured
-// worker goroutines exist only inside a window and never outlive a
-// RunUntil call.
+// synchronization. The zero value is not usable; call NewGroup. Like a
+// Simulator, a Group is single-threaded state.
 type Group struct {
 	shards    []*Simulator
 	lookahead float64
-	workers   int
 
 	now    float64
 	winEnd float64 // end of the window currently executing (read-only inside it)
@@ -67,20 +62,10 @@ type Group struct {
 	outbox [][]crossPost // one append-only outbox per source shard
 	merged []crossPost   // flush scratch, reused across windows
 
-	// Per-window worker rendezvous. wstart[w] carries the window end to
-	// worker w (per-worker channels so a fast worker cannot steal a
-	// slower worker's wake-up and skip that worker's shards); wdone
-	// collects one token per worker per window. wpanic holds the first
-	// panic recovered on each worker, re-raised on the driving
-	// goroutine so a panicking model behaves as in the serial engine.
-	wstart []chan float64
-	wdone  chan struct{}
-	wpanic []any
-
 	// Telemetry handles (SetTelemetry): window count, flushed cross-shard
 	// posts, events per window and the per-window shard imbalance ratio.
-	// All updates happen on the driving goroutine strictly between
-	// windows, so they are as deterministic as the window boundaries.
+	// All updates happen strictly between windows, so they are as
+	// deterministic as the window boundaries.
 	tmWindows   *telemetry.Counter
 	tmPosts     *telemetry.Counter
 	tmWinEvents *telemetry.Gauge
@@ -89,25 +74,17 @@ type Group struct {
 }
 
 // NewGroup builds a Group over the given shards. lookahead is the
-// minimum cross-shard latency in simulated seconds and must be > 0;
-// workers is clamped to [1, len(shards)].
-func NewGroup(lookahead float64, workers int, shards []*Simulator) *Group {
+// minimum cross-shard latency in simulated seconds and must be > 0.
+func NewGroup(lookahead float64, shards []*Simulator) *Group {
 	if len(shards) == 0 {
 		panic("sim: NewGroup with no shards")
 	}
 	if !(lookahead > 0) {
 		panic(fmt.Sprintf("sim: NewGroup lookahead %v must be > 0", lookahead))
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
 	return &Group{
 		shards:    shards,
 		lookahead: lookahead,
-		workers:   workers,
 		outbox:    make([][]crossPost, len(shards)),
 	}
 }
@@ -118,8 +95,11 @@ func (g *Group) Shards() int { return len(g.shards) }
 // Shard returns sub-simulator i.
 func (g *Group) Shard(i int) *Simulator { return g.shards[i] }
 
-// Workers returns the configured worker-goroutine count.
-func (g *Group) Workers() int { return g.workers }
+// Workers always returns 1: shards run sequentially on the caller.
+//
+// Deprecated: kept only because the benchmark harness still reads it
+// (together with cluster.Config.Shards); both go when it stops.
+func (g *Group) Workers() int { return 1 }
 
 // Now returns the group clock: the end of the last completed window.
 // Individual shards sit exactly at this time between windows.
@@ -143,7 +123,7 @@ func (g *Group) EventCount() uint64 {
 // window events over the per-shard mean; 1.0 = perfectly balanced, S =
 // one shard did all the work). A nil r detaches.
 //
-// Wall-clock worker utilization is deliberately absent: it would differ
+// Wall-clock shard utilization is deliberately absent: it would differ
 // run to run, and snapshots must stay a pure function of sim state. The
 // live Monitor owns wall-clock observations.
 func (g *Group) SetTelemetry(r *telemetry.Registry) {
@@ -180,16 +160,16 @@ func (g *Group) windowTelemetry() {
 }
 
 // Post schedules fn to run on shard dst at absolute time at. It may be
-// called from shard src's event callbacks while a window executes (and
-// from the driving goroutine between windows). The target time must
-// not precede the end of the current window — the conservative-sync
-// contract; violating it means the claimed lookahead was wrong, which
-// would silently break determinism, so it panics loudly instead.
+// called from shard src's event callbacks while a window executes, and
+// from the caller between windows. The target time must not precede
+// the end of the current window — the conservative-sync contract;
+// violating it means the claimed lookahead was wrong, which would
+// silently break determinism, so it panics loudly instead.
 //
 // Posts are buffered per source shard and flushed at the barrier in a
 // canonical order (by target time, ties broken by source shard then
-// posting order), so the destination shard's (at, seq) tie-break is a
-// pure function of simulation state, not goroutine timing.
+// posting order), so the destination shard's (at, seq) tie-break does
+// not depend on when, relative to other shards, a post was made.
 func (g *Group) Post(src, dst int, at float64, fn func()) {
 	if at < g.winEnd {
 		panic(fmt.Sprintf("sim: cross-shard post at %v before window end %v (lookahead %v violated)",
@@ -199,7 +179,7 @@ func (g *Group) Post(src, dst int, at float64, fn func()) {
 }
 
 // flush drains every outbox into the destination shards in canonical
-// order. Runs on the driving goroutine, strictly between windows.
+// order. Runs strictly between windows.
 func (g *Group) flush() {
 	m := g.merged[:0]
 	for src := range g.outbox {
@@ -220,29 +200,19 @@ func (g *Group) flush() {
 }
 
 // RunUntil advances every shard to horizon in conservative windows of
-// width Lookahead, flushing cross-shard posts at each barrier. It
-// returns the group clock (== horizon when horizon > Now).
+// width Lookahead, running the shards in index order within each window
+// and flushing cross-shard posts at each barrier. A panic in a shard's
+// model unwinds straight to the caller. It returns the group clock
+// (== horizon when horizon > Now).
 func (g *Group) RunUntil(horizon float64) float64 {
-	if horizon <= g.now {
-		return g.now
-	}
-	par := g.workers > 1 && len(g.shards) > 1
-	if par {
-		g.startWorkers()
-		defer g.stopWorkers()
-	}
 	for g.now < horizon {
 		end := g.now + g.lookahead
 		if end > horizon {
 			end = horizon
 		}
 		g.winEnd = end
-		if par {
-			g.runWindowParallel(end)
-		} else {
-			for _, s := range g.shards {
-				s.RunUntil(end)
-			}
+		for _, s := range g.shards {
+			s.RunUntil(end)
 		}
 		g.flush()
 		g.now = end
@@ -251,60 +221,4 @@ func (g *Group) RunUntil(horizon float64) float64 {
 		}
 	}
 	return g.now
-}
-
-// startWorkers spawns the per-RunUntil worker pool. Worker w owns the
-// shard stride w, w+P, w+2P, … — a static partition, so two workers
-// never touch the same shard and the assignment is scheduling-free.
-func (g *Group) startWorkers() {
-	p := g.workers
-	g.wstart = make([]chan float64, p)
-	g.wdone = make(chan struct{}, p)
-	g.wpanic = make([]any, p)
-	for w := 0; w < p; w++ {
-		g.wstart[w] = make(chan float64, 1)
-		go func(w int) {
-			for end := range g.wstart[w] {
-				func() {
-					defer func() {
-						if r := recover(); r != nil && g.wpanic[w] == nil {
-							g.wpanic[w] = r
-						}
-					}()
-					for i := w; i < len(g.shards); i += p {
-						g.shards[i].RunUntil(end)
-					}
-				}()
-				g.wdone <- struct{}{}
-			}
-		}(w)
-	}
-}
-
-// runWindowParallel executes one window on the worker pool and
-// re-raises the lowest-indexed worker panic, if any, on the caller.
-func (g *Group) runWindowParallel(end float64) {
-	for _, ch := range g.wstart {
-		ch <- end
-	}
-	for range g.wstart {
-		<-g.wdone
-	}
-	for w := range g.wpanic {
-		if r := g.wpanic[w]; r != nil {
-			g.wpanic[w] = nil
-			panic(r)
-		}
-	}
-}
-
-// stopWorkers shuts the pool down (workers exit when their start
-// channel closes). Safe during panic unwinding via defer.
-func (g *Group) stopWorkers() {
-	for _, ch := range g.wstart {
-		close(ch)
-	}
-	g.wstart = nil
-	g.wdone = nil
-	g.wpanic = nil
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -21,79 +20,9 @@ func TestDeriveSeedMatchesDerive(t *testing.T) {
 	}
 }
 
-// groupEvent is one observation in the per-shard logs used by the
-// determinism tests: what ran, where, when, and with which RNG draw.
-type groupEvent struct {
-	Shard int
-	T     float64
-	Tag   string
-	Draw  uint64
-}
-
-// runGroupScenario builds a 4-shard workload where every shard ticks
-// locally, consumes its own RNG stream, and posts work to its
-// neighbors exactly one lookahead ahead (including same-target-time
-// collisions from multiple sources), then runs it to the horizon.
-func runGroupScenario(workers int) []groupEvent {
-	const (
-		shards    = 4
-		lookahead = 1e-3
-		horizon   = 0.2
-	)
-	sims := make([]*Simulator, shards)
-	logs := make([][]groupEvent, shards)
-	for i := range sims {
-		sims[i] = New(DeriveSeed(7, fmt.Sprintf("shard/%d", i)))
-	}
-	g := NewGroup(lookahead, workers, sims)
-	for i := range sims {
-		i := i
-		s := sims[i]
-		rng := s.RNG("ticker")
-		period := 0.0007 + 0.0001*float64(i)
-		s.Every(period, period, func() {
-			draw := rng.Uint64()
-			logs[i] = append(logs[i], groupEvent{i, s.Now(), "tick", draw})
-			// Cross-shard post one lookahead out; every shard targets
-			// shard 0 at the same absolute grid time to force (at, seq)
-			// ties that only the canonical flush order can break.
-			at := s.Now() + lookahead
-			dst := (i + 1) % shards
-			g.Post(i, dst, at, func() {
-				d := sims[dst].RNG("mail").Uint64()
-				logs[dst] = append(logs[dst], groupEvent{dst, sims[dst].Now(), "mail", d})
-			})
-			gridAt := (float64(int(s.Now()/lookahead)) + 2) * lookahead
-			g.Post(i, 0, gridAt, func() {
-				logs[0] = append(logs[0], groupEvent{0, sims[0].Now(), fmt.Sprintf("grid-from-%d", i), 0})
-			})
-		})
-	}
-	g.RunUntil(horizon)
-	var all []groupEvent
-	for i := range logs {
-		all = append(all, logs[i]...)
-	}
-	return all
-}
-
-func TestGroupWorkerCountInvariance(t *testing.T) {
-	base := runGroupScenario(1)
-	if len(base) == 0 {
-		t.Fatal("scenario produced no events")
-	}
-	for _, workers := range []int{2, 4} {
-		got := runGroupScenario(workers)
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d produced a different event history than workers=1 (%d vs %d events)",
-				workers, len(got), len(base))
-		}
-	}
-}
-
 func TestGroupFlushTieBreakOrder(t *testing.T) {
 	sims := []*Simulator{New(1), New(2), New(3)}
-	g := NewGroup(1e-3, 1, sims)
+	g := NewGroup(1e-3, sims)
 	var order []int
 	// Post out of source order, all to shard 0 at the same time; the
 	// canonical flush order is (at, src, posting order).
@@ -111,7 +40,7 @@ func TestGroupFlushTieBreakOrder(t *testing.T) {
 
 func TestGroupPostLookaheadViolationPanics(t *testing.T) {
 	sims := []*Simulator{New(1), New(2)}
-	g := NewGroup(1e-3, 1, sims)
+	g := NewGroup(1e-3, sims)
 	sims[0].At(0.5e-3, func() {
 		// Window end is 1e-3; targeting before it violates lookahead.
 		defer func() {
@@ -124,9 +53,11 @@ func TestGroupPostLookaheadViolationPanics(t *testing.T) {
 	g.RunUntil(2e-3)
 }
 
+// TestGroupWorkerPanicPropagates: a panic in one shard's model reaches
+// the RunUntil caller unchanged.
 func TestGroupWorkerPanicPropagates(t *testing.T) {
 	sims := []*Simulator{New(1), New(2), New(3), New(4)}
-	g := NewGroup(1e-3, 4, sims)
+	g := NewGroup(1e-3, sims)
 	sims[2].At(0.4e-3, func() { panic("shard model exploded") })
 	defer func() {
 		r := recover()
@@ -142,7 +73,7 @@ func TestGroupWorkerPanicPropagates(t *testing.T) {
 
 func TestGroupRunUntilReachesHorizon(t *testing.T) {
 	sims := []*Simulator{New(1), New(2)}
-	g := NewGroup(1e-3, 2, sims)
+	g := NewGroup(1e-3, sims)
 	if got := g.RunUntil(0.0137); got != 0.0137 {
 		t.Fatalf("group clock = %v, want horizon", got)
 	}

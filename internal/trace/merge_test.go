@@ -68,3 +68,36 @@ func TestShardFieldJSONLRoundTripAndLegacyBytes(t *testing.T) {
 		t.Fatalf("shard tag did not round-trip: %+v", back)
 	}
 }
+
+// TestMergeShardsSizesRingsToRecords: the merged tracer holds exactly
+// its records — each node's ring is sized to that node's record count,
+// not to the whole merged trace — and drops none of them.
+func TestMergeShardsSizesRingsToRecords(t *testing.T) {
+	var shards []*Tracer
+	for s := 0; s < 2; s++ {
+		tr := New(Options{})
+		tr.SetShard(s)
+		for n := 0; n < 8; n++ {
+			node := s*8 + n
+			for k := 0; k <= node; k++ {
+				tr.Emit(KindRoundStart, float64(k)+0.1*float64(node), node, 0, uint64(k), 0, 0)
+			}
+		}
+		tr.Emit(KindFrameTx, 0.5, -1, 0, 1, 64, 0)
+		shards = append(shards, tr)
+	}
+	m := MergeShards(shards)
+	capacity := 0
+	for i := range m.rings {
+		capacity += len(m.rings[i].buf)
+	}
+	if want := 136 + 2; m.Len() != want {
+		t.Fatalf("merged %d records, want %d", m.Len(), want)
+	}
+	if capacity != m.Len() {
+		t.Fatalf("merged rings hold %d slots for %d records", capacity, m.Len())
+	}
+	if m.Dropped() != 0 {
+		t.Fatalf("merge dropped %d records", m.Dropped())
+	}
+}

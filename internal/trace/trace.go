@@ -304,36 +304,15 @@ func (t *Tracer) Emit(k Kind, now float64, node, ch int, a, b uint64, v float64)
 	if t == nil {
 		return
 	}
-	idx := node + 2
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(t.rings) {
-		t.rings = append(t.rings, make([]ring, idx+1-len(t.rings))...)
-	}
-	r := &t.rings[idx]
-	if r.buf == nil {
-		r.buf = make([]Record, t.opts.RingCap)
-	}
-	r.buf[r.n%uint64(len(r.buf))] = Record{
-		T: now, Seq: t.seq, A: a, B: b, V: v,
+	t.put(Record{
+		T: now, A: a, B: b, V: v,
 		Node: int32(node), Shard: t.shard, Ch: int8(ch), Kind: k,
-	}
-	r.n++
-	t.seq++
+	})
 }
 
-// emitRecord appends a prebuilt record, reassigning only its sequence
-// number — the merge path of MergeShards.
-func (t *Tracer) emitRecord(rec Record) {
-	idx := int(rec.Node) + 2
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(t.rings) {
-		t.rings = append(t.rings, make([]ring, idx+1-len(t.rings))...)
-	}
-	r := &t.rings[idx]
+// put appends rec to its node's ring under the next sequence number.
+func (t *Tracer) put(rec Record) {
+	r := t.ringOf(rec.Node)
 	if r.buf == nil {
 		r.buf = make([]Record, t.opts.RingCap)
 	}
@@ -343,12 +322,27 @@ func (t *Tracer) emitRecord(rec Record) {
 	t.seq++
 }
 
+// ringOf returns node's ring (-2 = background, -1 = kernel/medium;
+// anything lower shares the background ring), growing the ring table
+// as needed. The ring's buffer is allocated by its first write.
+func (t *Tracer) ringOf(node int32) *ring {
+	idx := int(node) + 2
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(t.rings) {
+		t.rings = append(t.rings, make([]ring, idx+1-len(t.rings))...)
+	}
+	return &t.rings[idx]
+}
+
 // MergeShards merges per-shard tracers into one tracer whose emission
 // order is the canonical serialization of the sharded run: records
 // sorted by (time, shard, per-shard sequence) and re-sequenced. The
-// order is a pure function of the per-shard streams, so merged
-// exports are byte-identical regardless of worker count. Ring
-// capacity is sized to retain every input record.
+// order is a pure function of the per-shard streams, so merged exports
+// are byte-identical from run to run. Each node's ring is sized to
+// exactly that node's merged record count, so the merge retains every
+// input record in memory proportional to the records alone.
 func MergeShards(ts []*Tracer) *Tracer {
 	var opts Options
 	total := 0
@@ -358,8 +352,7 @@ func MergeShards(ts []*Tracer) *Tracer {
 			total += t.Len()
 		}
 	}
-	var all []Record
-	all = make([]Record, 0, total)
+	all := make([]Record, 0, total)
 	for _, t := range ts {
 		all = append(all, t.Records()...)
 	}
@@ -373,13 +366,19 @@ func MergeShards(ts []*Tracer) *Tracer {
 		}
 		return a.Seq < b.Seq
 	})
-	opts.RingCap = total
-	if opts.RingCap == 0 {
-		opts.RingCap = 1
-	}
 	out := New(opts)
 	for i := range all {
-		out.emitRecord(all[i])
+		out.ringOf(all[i].Node).n++
+	}
+	for i := range out.rings {
+		r := &out.rings[i]
+		if r.n > 0 {
+			r.buf = make([]Record, r.n)
+			r.n = 0
+		}
+	}
+	for i := range all {
+		out.put(all[i])
 	}
 	return out
 }
