@@ -11,11 +11,12 @@
 //
 // Reports carry no wall-clock or environment metadata and all numeric
 // formatting is fixed-precision, so the same artifacts always produce
-// byte-identical output — CI golden-gates the smoke report with
-// `make report-smoke`.
+// byte-identical output — main_test.go golden-gates the report of the
+// committed 3-seed smoke campaign (regenerate with `make golden`).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,69 +28,87 @@ import (
 	"ntisim/internal/stats"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ntireport: "+format+"\n", args...)
-	os.Exit(1)
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
+// run is the whole command; it returns the exit code (2 for usage
+// errors, 1 for failures).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ntireport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		in        = flag.String("in", "", "JSONL artifact file, or a directory of *.jsonl artifacts (required)")
-		out       = flag.String("out", "", "output Markdown file (default stdout)")
-		bootstrap = flag.Int("bootstrap", 1000, "bootstrap resamples for CIs (negative disables)")
-		converged = flag.Float64("converged-below", 5e-6, "precision threshold [s] defining convergence time on timeline artifacts")
+		in        = fs.String("in", "", "JSONL artifact file, or a directory of *.jsonl artifacts (required)")
+		out       = fs.String("out", "", "output Markdown file (default stdout)")
+		bootstrap = fs.Int("bootstrap", 1000, "bootstrap resamples for CIs (negative disables)")
+		converged = fs.Float64("converged-below", 5e-6, "precision threshold [s] defining convergence time on timeline artifacts")
 	)
-	flag.Parse()
-	if *in == "" {
-		fmt.Fprintln(os.Stderr, "ntireport: -in is required (artifact file or directory)")
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if *in == "" {
+		fmt.Fprintln(stderr, "ntireport: -in is required (artifact file or directory)")
+		fs.Usage()
+		return 2
+	}
+	n, err := render(*in, *out, stdout, stats.Options{Bootstrap: *bootstrap, ConvergedBelowS: *converged})
+	if err != nil {
+		fmt.Fprintf(stderr, "ntireport: %v\n", err)
+		return 1
+	}
+	if *out != "" {
+		fmt.Fprintf(stderr, "ntireport: wrote %s (%d campaign(s))\n", *out, n)
+	}
+	return 0
+}
 
+// render writes the report of every artifact under in to the file out,
+// or to stdout when out is empty, and returns the number of campaigns.
+func render(in, out string, stdout io.Writer, opt stats.Options) (n int, err error) {
 	var paths []string
-	if fi, err := os.Stat(*in); err != nil {
-		fatalf("%v", err)
+	if fi, err := os.Stat(in); err != nil {
+		return 0, err
 	} else if fi.IsDir() {
-		paths, err = report.FindJSONL(*in)
+		paths, err = report.FindJSONL(in)
 		if err != nil {
-			fatalf("%v", err)
+			return 0, err
 		}
 		if len(paths) == 0 {
-			fatalf("no *.jsonl artifacts in %s", *in)
+			return 0, fmt.Errorf("no *.jsonl artifacts in %s", in)
 		}
 	} else {
-		paths = []string{*in}
+		paths = []string{in}
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
+	w := stdout
+	if out != "" {
+		f, err := os.Create(out)
 		if err != nil {
-			fatalf("%v", err)
+			return 0, err
 		}
 		defer func() {
-			if err := f.Close(); err != nil {
-				fatalf("%v", err)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
 		}()
 		w = f
 	}
 
-	opt := stats.Options{Bootstrap: *bootstrap, ConvergedBelowS: *converged}
 	for i, p := range paths {
 		results, err := report.LoadJSONL(p)
 		if err != nil {
-			fatalf("%v", err)
+			return 0, err
 		}
 		if i > 0 {
 			fmt.Fprintf(w, "\n---\n\n")
 		}
 		title := strings.TrimSuffix(filepath.Base(p), ".jsonl")
 		if err := report.Generate(w, title, results, opt); err != nil {
-			fatalf("%v", err)
+			return 0, err
 		}
 	}
-	if *out != "" {
-		fmt.Fprintf(os.Stderr, "ntireport: wrote %s (%d campaign(s))\n", *out, len(paths))
-	}
+	return len(paths), nil
 }

@@ -85,7 +85,7 @@ func (sy *Synchronizer) fuseSources(now timefmt.Stamp, out interval.Interval, k 
 	// Fault-tolerant combining across the surviving sources. SourceF is
 	// the design bound; with fewer than 2f+1 sources currently usable,
 	// degrade gracefully the way every convergence function here does.
-	fused, ok := sy.srcFuser.OrthogonalAccuracy(ivs, sy.p.SourceF)
+	fused, ok := sy.fz.OrthogonalAccuracy(ivs, sy.p.SourceF)
 	if !ok {
 		// Sources mutually inconsistent beyond f faults: no external
 		// evidence is trustworthy this round.

@@ -166,15 +166,18 @@ type Synchronizer struct {
 	rate      *rateSync
 	externals []ExternalFunc
 	// Multi-source trust state (Params.SourceF > 0): per-source
-	// quarantine tracking, the scratch interval set handed to the
-	// fault-tolerant source combiner, and its zero-alloc fuser.
+	// quarantine tracking and the scratch interval set handed to the
+	// fault-tolerant source combiner.
 	srcStates   []sourceState
 	scratchSrcs []interval.Interval
-	srcFuser    interval.Fuser
-	stats       Stats
-	running     bool
-	bcastTm     Timer
-	compTm      Timer
+	// fz is the zero-alloc fuser of the remote-primary and multi-source
+	// validation tiers; each result is returned by value before the
+	// next call reuses its scratch.
+	fz      interval.Fuser
+	stats   Stats
+	running bool
+	bcastTm Timer
+	compTm  Timer
 
 	// Per-round scratch, reused across converge calls so the steady
 	// state allocates nothing: the interval set handed to the
@@ -510,7 +513,7 @@ func (sy *Synchronizer) converge(k uint32) {
 		if fp >= len(prims) {
 			fp = len(prims) - 1
 		}
-		if pm, okP := interval.Marzullo(prims, fp); okP {
+		if pm, okP := sy.fz.Marzullo(prims, fp); okP {
 			validated, accepted := interval.Validate(pm, out)
 			if accepted {
 				sy.stats.PrimaryAccepted++

@@ -327,23 +327,6 @@ func MarzulloMidpoint(ivs []Interval, f int) (Interval, bool) {
 	return Marzullo(ivs, f)
 }
 
-// Envelope returns the union of all intervals (the "no fault excluded"
-// fallback), referenced at the FTMidpoint with f=0.
-func Envelope(ivs []Interval) (Interval, bool) {
-	if len(ivs) == 0 {
-		return Interval{}, false
-	}
-	out := ivs[0]
-	for _, iv := range ivs[1:] {
-		out = out.Union(iv)
-	}
-	refs := make([]timefmt.Stamp, len(ivs))
-	for i, iv := range ivs {
-		refs[i] = iv.Ref
-	}
-	return out.Rereference(FTMidpoint(refs, 0)), true
-}
-
 // Validate implements interval-based clock validation [Sch94] (paper §2):
 // a highly accurate but possibly faulty external interval (e.g. from a
 // GPS receiver) is accepted only if it is consistent with the reliable

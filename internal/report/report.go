@@ -8,8 +8,8 @@
 //
 // Reports carry no wall-clock, hostname, or build metadata and every
 // number is formatted with fixed precision, so identical inputs yield
-// byte-identical reports — they are golden-gated in CI exactly like
-// campaign artifacts (make report-smoke).
+// byte-identical reports — they are golden-gated by go test exactly
+// like campaign artifacts (regenerate with make golden).
 package report
 
 import (
