@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke fuzz-smoke perfbench-test golden
+.PHONY: ci vet build test race bench bench-smoke fuzz-smoke perfbench-test golden examples
 
 # ci is the gate run by .github/workflows/ci.yml: vet, build, and the
 # full test suite under the race detector (the harness worker pool is
@@ -40,6 +40,12 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupMatchesSingleHeap$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzFuserMatchesReference$$' -fuzztime 10s ./internal/interval
+
+# examples runs every program under examples/ with go run; each prints
+# a short report and exits 0, so an example that stops building or
+# starts failing breaks this target.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # perfbench-test runs the benchmark module's unit tests (a separate Go
 # module under perfbench/, so `go test ./...` at the root skips it): an

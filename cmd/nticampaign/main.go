@@ -153,20 +153,7 @@ var presets = map[string]preset{
 			// NodesAxis does not rescale Sync.F; the tolerance question
 			// is exactly how F-vs-clique-size plays out at each scale, so
 			// recompute the proportional default per cell.
-			for i := range pts {
-				pt := &pts[i]
-				inner := pt.Mutate
-				pt.Mutate = func(c *cluster.Config) {
-					if inner != nil {
-						inner(c)
-					}
-					f := (c.Nodes - 1) / 3
-					if f > 5 {
-						f = 5
-					}
-					c.Sync.F = f
-				}
-			}
+			chainMutate(pts, func(c *cluster.Config) { c.Sync.F = min((c.Nodes-1)/3, 5) })
 			return pts
 		},
 		spec: func(s *harness.Spec) {
@@ -412,20 +399,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// Force the discipline after every point mutation so it wins
 		// even over a preset's own discipline axis.
-		for i := range spec.Points {
-			pt := &spec.Points[i]
-			inner := pt.Mutate
-			pt.Mutate = func(c *cluster.Config) {
-				if inner != nil {
-					inner(c)
-				}
-				c.Sync.Discipline = f
-			}
-			if pt.Params == nil {
-				pt.Params = map[string]string{}
-			}
-			pt.Params["discipline"] = *discName
-		}
+		chainMutate(spec.Points, func(c *cluster.Config) { c.Sync.Discipline = f }, "discipline", *discName)
 	}
 	if *arrival != "" && !service.ValidArrival(*arrival) {
 		return fail(2, "unknown arrival process %q (choices: %s)", *arrival, arrivalChoices())
@@ -437,30 +411,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Force the population after every point mutation, like
 		// -discipline; a bare -arrival keeps the preset's population (or
 		// stays inert on presets without one).
-		for i := range spec.Points {
-			pt := &spec.Points[i]
-			inner := pt.Mutate
-			pt.Mutate = func(c *cluster.Config) {
-				if inner != nil {
-					inner(c)
-				}
-				if *clients > 0 {
-					c.Serving.Clients = *clients
-				}
-				if *arrival != "" {
-					c.Serving.Arrival = *arrival
-				}
-			}
-			if pt.Params == nil {
-				pt.Params = map[string]string{}
-			}
+		var params []string
+		if *clients > 0 {
+			params = append(params, "clients", fmt.Sprint(*clients))
+		}
+		if *arrival != "" {
+			params = append(params, "arrival", *arrival)
+		}
+		chainMutate(spec.Points, func(c *cluster.Config) {
 			if *clients > 0 {
-				pt.Params["clients"] = fmt.Sprint(*clients)
+				c.Serving.Clients = *clients
 			}
 			if *arrival != "" {
-				pt.Params["arrival"] = *arrival
+				c.Serving.Arrival = *arrival
 			}
-		}
+		}, params...)
 	}
 	if !*quiet {
 		spec.Progress = stderr
@@ -572,4 +537,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(1, "%d of %d cells failed", len(failed), len(camp.Results))
 	}
 	return 0
+}
+
+// chainMutate makes mut run after every point's own mutation, so it
+// wins over any axis, and stamps params (key, value pairs) into each
+// point's Params.
+func chainMutate(pts []harness.Point, mut func(*cluster.Config), params ...string) {
+	for i := range pts {
+		pt := &pts[i]
+		inner := pt.Mutate
+		pt.Mutate = func(c *cluster.Config) {
+			if inner != nil {
+				inner(c)
+			}
+			mut(c)
+		}
+		for j := 0; j+1 < len(params); j += 2 {
+			if pt.Params == nil {
+				pt.Params = map[string]string{}
+			}
+			pt.Params[params[j]] = params[j+1]
+		}
+	}
 }

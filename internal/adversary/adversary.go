@@ -333,17 +333,16 @@ func (l *Layer) mutate(payload []byte, dst int, now float64) (out []byte, src in
 // WrapBus interposes the adversary between a member's network bus and
 // its COMCO: frames from traitorous senders are mutated per receiver at
 // delivery. dst is the receiving node's id, shard its sub-simulator
-// index; tr/reg are that shard's tracer and telemetry registry (nil =
-// disabled). Returns the bus unchanged when no node attacks.
-func (l *Layer) WrapBus(bus network.Bus, dst, shard int, s *sim.Simulator, tr *trace.Tracer, reg *telemetry.Registry) network.Bus {
+// index and s that shard's simulator, whose tracer and registry record
+// the lies. Returns the bus unchanged when no node attacks.
+func (l *Layer) WrapBus(bus network.Bus, dst, shard int, s *sim.Simulator) network.Bus {
 	if l == nil || len(l.traitors) == 0 {
 		return bus
 	}
-	w := &wrappedBus{inner: bus, l: l, dst: dst, shard: shard, s: s, tr: tr}
-	if reg != nil {
-		w.lies = reg.Counter(MetricLiesTold)
+	return &wrappedBus{
+		inner: bus, l: l, dst: dst, shard: shard, s: s,
+		tr: s.Tracer(), lies: s.Telemetry().Counter(MetricLiesTold),
 	}
-	return w
 }
 
 // MetricLiesTold is the telemetry counter of delivered adversarial

@@ -43,7 +43,7 @@ type ppsRecord struct {
 // into a gps.Receiver and its Interval into the Synchronizer:
 //
 //	att := clocksync.AttachGPS(node, 0, acc, rho)
-//	gps.New(sim, cfg, label, att.OnPulse)
+//	gps.New(sim, cfg, node, label, att.OnPulse)
 //	sy.AddExternal(att.Interval)
 func AttachGPS(node *kernel.Node, gpuIndex int, accuracy timefmt.Duration, rhoPPB int64) *GPSAttachment {
 	return &GPSAttachment{

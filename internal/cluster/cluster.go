@@ -87,17 +87,22 @@ type Config struct {
 	//
 	// Deprecated: no effect; shards always run sequentially.
 	Shards int
-	// Tracer, when non-nil, is wired through every layer of the cluster
-	// (simulation kernel, media, node kernels, synchronizers, GPS
-	// receivers). One Tracer belongs to exactly one cluster — like the
-	// simulator, it is single-threaded state.
+	// Tracer, when non-nil, traces every layer of the cluster: New
+	// instruments the simulator with it before building anything on it,
+	// and each layer (media, WAN links, node kernels and COMCOs,
+	// synchronizers, GPS receivers, serving, adversary) reads it at
+	// construction. Sharded clusters give each shard's simulator a
+	// private tracer with the same options; Trace merges them. One
+	// Tracer belongs to exactly one cluster — like the simulator, it is
+	// single-threaded state.
 	Tracer *trace.Tracer
-	// Telemetry, when non-nil, wires the runtime metrics registry
-	// through every layer (kernel counters, bus gauges, sync histograms,
+	// Telemetry, when non-nil, is the runtime metrics registry, attached
+	// the same way (kernel counters, bus gauges, sync histograms,
 	// serving counters). Sharded clusters create one private registry
 	// per shard (single-threaded, like per-shard tracers) and treat this
-	// one as the driver-level registry; TelemetrySnapshot merges them.
-	// One Registry belongs to exactly one cluster.
+	// one as the driver-level registry of the sim.Group;
+	// TelemetrySnapshot merges them. One Registry belongs to exactly one
+	// cluster.
 	Telemetry *telemetry.Registry
 }
 
@@ -205,7 +210,6 @@ type Cluster struct {
 	// regular node, in member order) when cfg.Serving enables a client
 	// population; empty otherwise. See serving.go.
 	ServingGens []*service.Generator
-	shards      []home           // per-shard contexts of a sharded cluster
 	adv         *adversary.Layer // nil without an adversary spec
 	cfg         Config
 }
@@ -237,20 +241,12 @@ func New(cfg Config) *Cluster {
 		cfg.OscHz = 10e6
 	}
 	s := sim.New(cfg.Seed)
+	s.Instrument(cfg.Tracer, cfg.Telemetry)
 	med := network.NewMedium(s, cfg.Medium)
-	if cfg.Tracer != nil {
-		s.SetTracer(cfg.Tracer)
-		med.SetTracer(cfg.Tracer)
-	}
-	if cfg.Telemetry != nil {
-		s.SetTelemetry(cfg.Telemetry)
-		med.SetTelemetry(cfg.Telemetry)
-	}
 	c := &Cluster{Sim: s, Med: med, Media: []*network.Medium{med}, cfg: cfg}
 	c.adv = adversary.NewLayer(cfg.Adversary, cfg.Seed, cfg.Nodes, 1)
-	h := home{sim: s, tr: cfg.Tracer, reg: cfg.Telemetry}
 	for i := 0; i < cfg.Nodes; i++ {
-		c.addMember(h, "node", 0, med)
+		c.addMember(0, "node", 0, med)
 	}
 	if cfg.BackgroundLoad > 0 {
 		med.StartBackgroundLoad(cfg.BackgroundLoad, 400)
@@ -259,61 +255,46 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// home is the execution context a member is built on: its shard and
-// that shard's simulator, tracer and telemetry registry (the cluster's
-// own simulator, tracer and registry on a flat LAN).
-type home struct {
-	shard int
-	sim   *sim.Simulator
-	tr    *trace.Tracer
-	reg   *telemetry.Registry
-}
-
-// homeOf returns the execution context member m was built on.
-func (c *Cluster) homeOf(m *Member) home {
+// shardSim returns the simulator of shard i: the cluster's own
+// simulator on a flat LAN.
+func (c *Cluster) shardSim(i int) *sim.Simulator {
 	if c.Group == nil {
-		return home{sim: c.Sim, tr: c.cfg.Tracer, reg: c.cfg.Telemetry}
+		return c.Sim
 	}
-	return c.shards[m.Shard]
+	return c.Group.Shard(i)
 }
 
-// addMember builds the next member (index len(c.Members)) on h,
-// attached to bus, and appends it. The oscillator and GNSS labels
+// addMember builds the next member (index len(c.Members)) on shard,
+// attached to bus, and appends it. Every layer reads its tracer and
+// registry from the shard's simulator. The oscillator and GNSS labels
 // prefix+index seed the node's RNG streams, so they are part of the
 // determinism contract.
-func (c *Cluster) addMember(h home, prefix string, segment int, bus network.Bus) *Member {
+func (c *Cluster) addMember(shard int, prefix string, segment int, bus network.Bus) *Member {
 	cfg := &c.cfg
+	s := c.shardSim(shard)
 	id := len(c.Members)
 	label := fmt.Sprintf("%s%d", prefix, id)
 	oc := oscillator.TCXO(cfg.OscHz)
 	if cfg.OscillatorFor != nil {
 		oc = cfg.OscillatorFor(id)
 	}
-	osc := oscillator.New(h.sim, oc, label)
-	u := utcsu.New(h.sim, utcsu.Config{Osc: osc})
+	osc := oscillator.New(s, oc, label)
+	u := utcsu.New(s, utcsu.Config{Osc: osc})
 	// The adversary sits between the medium and the node's COMCO
 	// (identity when nobody attacks): lies are applied at delivery on
 	// the receiver's shard, so the decomposition never changes what any
 	// node hears.
-	bus = c.adv.WrapBus(bus, id, h.shard, h.sim, h.tr, h.reg)
-	node := kernel.NewNode(h.sim, uint16(id), u, bus, cfg.Kernel, cfg.COMCO)
-	m := &Member{Index: id, Segment: segment, Shard: h.shard, Osc: osc, U: u, Node: node}
+	bus = c.adv.WrapBus(bus, id, shard, s)
+	node := kernel.NewNode(s, uint16(id), u, bus, cfg.Kernel, cfg.COMCO)
+	m := &Member{Index: id, Segment: segment, Shard: shard, Osc: osc, U: u, Node: node}
 	var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: u}
 	if cfg.ClockFactory != nil {
 		clk = cfg.ClockFactory(u)
 	}
 	m.Sync = clocksync.New(node, clk, cfg.Sync)
 	if gc, hasGPS := cfg.GPS[id]; hasGPS {
-		attachReferences(h.sim, h.tr, m, gc, label, cfg)
+		attachReferences(s, m, gc, label, cfg)
 	}
-	if h.tr != nil {
-		node.SetTracer(h.tr)
-		m.Sync.SetTracer(h.tr)
-		if m.Rx != nil {
-			m.Rx.SetTracer(h.tr, id)
-		}
-	}
-	m.Sync.SetTelemetry(h.reg)
 	c.Members = append(c.Members, m)
 	return m
 }
@@ -325,7 +306,7 @@ func (c *Cluster) addMember(h home, prefix string, segment int, bus network.Bus)
 // attack schedule lowered into its fault list (a no-op without one),
 // and each extra receiver derives its noise stream from its own label,
 // so source streams are mutually independent and shard-invariant.
-func attachReferences(s *sim.Simulator, tr *trace.Tracer, m *Member, gc gps.Config, label string, cfg *Config) {
+func attachReferences(s *sim.Simulator, m *Member, gc gps.Config, label string, cfg *Config) {
 	rho := cfg.Sync.RhoPPB
 	if rho == 0 {
 		rho = 2000
@@ -344,17 +325,14 @@ func attachReferences(s *sim.Simulator, tr *trace.Tracer, m *Member, gc gps.Conf
 	base := gc
 	base.Faults = cfg.Adversary.SourceFaults(0, gc.Faults)
 	m.GPS = clocksync.AttachGPS(m.Node, 0, acc, rho)
-	m.Rx = gps.New(s, base, label, m.GPS.OnPulse)
+	m.Rx = gps.New(s, base, m.Index, label, m.GPS.OnPulse)
 	m.Sync.AddExternal(m.GPS.Interval)
 	for src := 1; src < sources; src++ {
 		sc := gc
 		sc.Faults = cfg.Adversary.SourceFaults(src, gc.Faults)
 		att := clocksync.AttachGPS(m.Node, src, acc, rho)
-		rx := gps.New(s, sc, fmt.Sprintf("%s/src%d", label, src), att.OnPulse)
+		rx := gps.New(s, sc, m.Index, fmt.Sprintf("%s/src%d", label, src), att.OnPulse)
 		m.Sync.AddExternal(att.Interval)
-		if tr != nil {
-			rx.SetTracer(tr, m.Index)
-		}
 		m.SrcGPS = append(m.SrcGPS, att)
 		m.SrcRx = append(m.SrcRx, rx)
 	}
@@ -417,9 +395,9 @@ func (c *Cluster) Trace() *trace.Tracer {
 	if c.Group == nil || c.cfg.Tracer == nil {
 		return c.cfg.Tracer
 	}
-	trs := make([]*trace.Tracer, len(c.shards))
-	for i, h := range c.shards {
-		trs[i] = h.tr
+	trs := make([]*trace.Tracer, c.Group.Shards())
+	for i := range trs {
+		trs[i] = c.Group.Shard(i).Tracer()
 	}
 	return trace.MergeShards(trs)
 }
@@ -442,8 +420,10 @@ func (c *Cluster) TelemetrySnapshot() (telemetry.Snapshot, bool) {
 		return telemetry.Snapshot{}, false
 	}
 	regs := []*telemetry.Registry{c.cfg.Telemetry}
-	for _, h := range c.shards {
-		regs = append(regs, h.reg)
+	if c.Group != nil {
+		for i := 0; i < c.Group.Shards(); i++ {
+			regs = append(regs, c.Group.Shard(i).Telemetry())
+		}
 	}
 	return telemetry.Capture(c.Now(), regs...), true
 }

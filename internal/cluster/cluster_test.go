@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ntisim/internal/gps"
+	"ntisim/internal/kernel"
 	"ntisim/internal/metrics"
 	"ntisim/internal/oscillator"
 	"ntisim/internal/timefmt"
@@ -124,6 +125,28 @@ func TestMeasuredDelayImprovesSync(t *testing.T) {
 	// which shrinks delay-compensation enlargement and thus precision.
 	if with > without {
 		t.Errorf("measured bounds made sync worse: %v vs %v", with, without)
+	}
+}
+
+// TestTaskModeIsWorse: purely software, task-level timestamping (E2's
+// worst class) synchronizes far worse than NTI hardware stamps.
+func TestTaskModeIsWorse(t *testing.T) {
+	run := func(mode kernel.TimestampMode) float64 {
+		cfg := Defaults(4, 5)
+		cfg.Kernel.Mode = mode
+		c := New(cfg)
+		c.Start(0.5)
+		c.RunUntil(15.5)
+		var prec metrics.Series
+		for _, cs := range c.RunSampled(15.5, 45.5, 1) {
+			prec.Add(cs.Precision)
+		}
+		return prec.Max()
+	}
+	nti := run(kernel.ModeNTI)
+	task := run(kernel.ModeTask)
+	if task < 5*nti {
+		t.Errorf("task-level sync (%v) should be far worse than NTI (%v)", task, nti)
 	}
 }
 

@@ -57,16 +57,12 @@ func (c *Cluster) attachServing() {
 			continue
 		}
 		qps := totalQPS * weights[m.Segment] / wsum / float64(perSeg[m.Segment])
-		h := c.homeOf(m)
 		mem := m
 		seed := sim.DeriveSeed(c.cfg.Seed, fmt.Sprintf("service/node/%d", m.Index))
-		g := service.New(h.sim, sc, m.Index, seed, qps, func() float64 {
+		g := service.New(m.Node.Sim, sc, m.Index, seed, qps, func() float64 {
 			off, _, _ := mem.OffsetAndBounds()
 			return math.Abs(off)
-		}, h.tr)
-		if h.reg != nil {
-			g.SetTelemetry(h.reg)
-		}
+		})
 		c.ServingGens = append(c.ServingGens, g)
 	}
 }

@@ -73,54 +73,40 @@ func newSharded(cfg Config) *Cluster {
 		cfg.OscHz = 10e6
 	}
 
-	homes := make([]home, segs)
 	sims := make([]*sim.Simulator, segs)
 	media := make([]*network.Medium, segs)
-	for i := range homes {
-		h := home{shard: i, sim: sim.New(sim.DeriveSeed(cfg.Seed, fmt.Sprintf("shard/%d", i)))}
+	for i := range sims {
+		sims[i] = sim.New(sim.DeriveSeed(cfg.Seed, fmt.Sprintf("shard/%d", i)))
+		// Each shard gets its own tracer and registry, used only by that
+		// shard's single-threaded simulator — the trace-ring pattern.
+		// Trace and TelemetrySnapshot merge them.
+		var tr *trace.Tracer
 		if cfg.Tracer != nil {
-			h.tr = trace.New(cfg.Tracer.Options())
-			h.tr.SetShard(i)
-			h.sim.SetTracer(h.tr)
+			tr = trace.New(cfg.Tracer.Options())
+			tr.SetShard(i)
 		}
-		media[i] = network.NewMedium(h.sim, cfg.Medium)
-		media[i].SetTracer(h.tr)
+		var reg *telemetry.Registry
 		if cfg.Telemetry != nil {
-			// One private registry per shard, updated only by that
-			// shard's single-threaded simulator — the trace-ring pattern.
-			h.reg = telemetry.New()
-			h.reg.SetShard(i)
-			h.sim.SetTelemetry(h.reg)
-			media[i].SetTelemetry(h.reg)
+			reg = telemetry.New()
+			reg.SetShard(i)
 		}
-		homes[i], sims[i] = h, h.sim
+		sims[i].Instrument(tr, reg)
+		media[i] = network.NewMedium(sims[i], cfg.Medium)
 	}
-	group := sim.NewGroup(wan, sims)
-	if cfg.Telemetry != nil {
-		// Driver-level metrics (windows, flush sizes, imbalance) go on
-		// the cluster's own registry — only touched between windows.
-		group.SetTelemetry(cfg.Telemetry)
-		for _, h := range homes {
-			s := h.sim
-			// Cumulative per-shard progress and window lag, read at
-			// capture time (barrier): how many events the shard has fired
-			// and how far short of the group clock it went idle.
-			h.reg.GaugeFunc(telemetry.MetricShardEvents, func() float64 { return float64(s.EventCount()) })
-			h.reg.GaugeFunc("group.shard_lag_s", func() float64 { return group.Now() - s.LastFiredAt() })
-		}
-	}
+	// Driver-level metrics (windows, flush sizes, imbalance) go on the
+	// cluster's own registry — only touched between windows.
+	group := sim.NewGroup(wan, sims, cfg.Telemetry)
 	c := &Cluster{
-		Sim:    sims[0],
-		Med:    media[0],
-		Media:  media,
-		Group:  group,
-		shards: homes,
-		cfg:    cfg,
+		Sim:   sims[0],
+		Med:   media[0],
+		Media: media,
+		Group: group,
+		cfg:   cfg,
 	}
 	c.adv = adversary.NewLayer(cfg.Adversary, cfg.Seed, cfg.Nodes, segs)
 	for seg := 0; seg < segs; seg++ {
 		for i := 0; i < per; i++ {
-			c.addMember(homes[seg], "wol", seg, media[seg])
+			c.addMember(seg, "wol", seg, media[seg])
 		}
 	}
 
@@ -130,26 +116,23 @@ func newSharded(cfg Config) *Cluster {
 		PreambleBits: cfg.Medium.PreambleBits,
 		InterframeS:  cfg.Medium.InterframeS,
 	}
-	for seg := 0; seg+1 < segs; seg++ {
-		near, far := homes[seg], homes[seg+1]
+	for near := 0; near+1 < segs; near++ {
+		far := near + 1
+		nearSim, farSim := sims[near], sims[far]
 		for g := 0; g < gpl; g++ {
-			gw := c.addMember(near, "wol", -1, media[near.shard])
+			gw := c.addMember(near, "wol", -1, media[near])
 			var port *network.LinkPort
 			var relay *network.Relay
-			port = network.NewLinkPort(near.sim, link, func(f network.Frame) {
-				group.Post(near.shard, far.shard, near.sim.Now()+wan, func() { relay.Inject(f) })
+			port = network.NewLinkPort(nearSim, link, func(f network.Frame) {
+				group.Post(near, far, nearSim.Now()+wan, func() { relay.Inject(f) })
 			}, rw)
-			relay = network.NewRelay(media[far.shard], func(f network.Frame) {
-				group.Post(far.shard, near.shard, far.sim.Now()+wan, func() { port.Inject(f) })
+			relay = network.NewRelay(media[far], func(f network.Frame) {
+				group.Post(far, near, farSim.Now()+wan, func() { port.Inject(f) })
 			}, rw)
-			if cfg.Telemetry != nil {
-				port.SetTelemetry(near.reg)
-				relay.SetTelemetry(far.reg)
-			}
 			// The gateway's WAN-facing channel gets the same adversary
 			// tap as its LAN channel: traitors on the remote segment lie
 			// to the gateway too.
-			gw.Node.AttachSegment(c.adv.WrapBus(port, gw.Index, near.shard, near.sim, near.tr, near.reg))
+			gw.Node.AttachSegment(c.adv.WrapBus(port, gw.Index, near, nearSim))
 		}
 	}
 

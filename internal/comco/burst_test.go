@@ -153,7 +153,7 @@ func newWorld(seed uint64, ref bool) *world {
 			rc.rng = w.s.RNG("comco/" + label)
 			w.ch[ch] = rc
 		} else {
-			w.ch[ch] = NewChannel(w.s, w.n, med, Default82596(), label, ch)
+			w.ch[ch] = NewChannel(w.s, w.n, med, Default82596(), label, ch, ch)
 		}
 		w.ch[ch].OnRxStored(func(fid uint64, base uint32, length int, corrupt bool) {
 			w.observe(fmt.Sprintf("rx-done fid=%d base=%#x len=%d corrupt=%v", fid, base, length, corrupt), false)
@@ -165,10 +165,12 @@ func newWorld(seed uint64, ref bool) *world {
 
 func (w *world) newTracer() {
 	w.tr = trace.New(trace.Options{DMAWords: true, RingCap: 4096})
-	for ch, m := range w.ch {
+	for _, m := range w.ch {
 		switch m := m.(type) {
 		case *COMCO:
-			m.SetTracer(w.tr, ch)
+			// Swapping the sink mid-run has no constructor to go
+			// through; records stay attributed to node = channel.
+			m.tr, m.trWords = w.tr, true
 		case *refCOMCO:
 			m.tr = w.tr
 		}
@@ -378,12 +380,11 @@ func TestBurstMatchesWordByWordOracle(t *testing.T) {
 // whatever the payload length and whether or not DMA words are traced.
 func TestEventsPerBurst(t *testing.T) {
 	for _, traced := range []bool{false, true} {
-		s, _, _, ca, _, cb := rig(8)
+		var tr *trace.Tracer
 		if traced {
-			tr := trace.New(trace.Options{DMAWords: true})
-			ca.SetTracer(tr, 0)
-			cb.SetTracer(tr, 1)
+			tr = trace.New(trace.Options{DMAWords: true})
 		}
+		s, _, _, ca, _, cb := rigTraced(8, tr)
 		count := func(do func()) uint64 {
 			before := s.EventCount()
 			do()

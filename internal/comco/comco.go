@@ -91,9 +91,8 @@ type COMCO struct {
 	txFrames uint64
 	rxFrames uint64
 
-	// tr is the optional trace sink; trNode is the node id records are
-	// attributed to (the kernel's global node id — may differ from the
-	// medium-local station id on gateway nodes). trWords caches
+	// tr is the simulator's trace sink (nil when off); trNode is the
+	// node id records are attributed to (see NewChannel). trWords caches
 	// Options.DMAWords so the per-word trace branch is one flag test.
 	tr      *trace.Tracer
 	trNode  int
@@ -261,16 +260,15 @@ func (c *COMCO) allocRx() *rxBurst {
 	return b
 }
 
-// New creates a controller on the NTI's channel 0, attaching it to the
-// medium as a station.
-func New(s *sim.Simulator, module *nti.NTI, med network.Bus, cfg Config, label string) *COMCO {
-	return NewChannel(s, module, med, cfg, label, 0)
-}
-
-// NewChannel creates a controller on an arbitrary NTI channel — gateway
-// nodes run one controller per attached LAN segment, each wired to its
-// own SSU pair (paper §3.3).
-func NewChannel(s *sim.Simulator, module *nti.NTI, med network.Bus, cfg Config, label string, channel int) *COMCO {
+// NewChannel creates a controller on an NTI channel, attaching it to the
+// medium as a station — gateway nodes run one controller per attached
+// LAN segment, each wired to its own SSU pair (paper §3.3). The
+// controller's trace records go to the simulator's tracer, attributed
+// to node id `node` (the kernel's global node id — may differ from the
+// medium-local station id on gateway nodes). Emitted: tx-trigger,
+// rx-trigger, rx-done, and — when the tracer asks for them — every DMA
+// word, stamped with its nominal time.
+func NewChannel(s *sim.Simulator, module *nti.NTI, med network.Bus, cfg Config, label string, node, channel int) *COMCO {
 	if cfg.DMAWordTimeS <= 0 {
 		cfg.DMAWordTimeS = 400e-9
 	}
@@ -280,7 +278,10 @@ func NewChannel(s *sim.Simulator, module *nti.NTI, med network.Bus, cfg Config, 
 	if cfg.ArbMaxS < cfg.ArbMinS {
 		cfg.ArbMaxS = cfg.ArbMinS
 	}
-	c := &COMCO{s: s, nti: module, med: med, cfg: cfg, rng: s.RNG("comco/" + label), channel: channel}
+	c := &COMCO{
+		s: s, nti: module, med: med, cfg: cfg, rng: s.RNG("comco/" + label), channel: channel,
+		tr: s.Tracer(), trNode: node, trWords: s.Tracer().Options().DMAWords,
+	}
 	c.station = med.Attach(c)
 	return c
 }
@@ -299,16 +300,6 @@ func (c *COMCO) Station() int { return c.station }
 // must be discarded by software.
 func (c *COMCO) OnRxStored(fn func(fid uint64, headerBase uint32, length int, corrupt bool)) {
 	c.onRxStored = fn
-}
-
-// SetTracer attaches an event tracer (nil detaches), attributing this
-// controller's records to node id `node`. Emitted: tx-trigger,
-// rx-trigger, rx-done, and — when the tracer asks for them — every DMA
-// word, stamped with its nominal time.
-func (c *COMCO) SetTracer(tr *trace.Tracer, node int) {
-	c.tr = tr
-	c.trNode = node
-	c.trWords = tr.Options().DMAWords
 }
 
 // Transmit queues the CSP image residing in transmit header slot

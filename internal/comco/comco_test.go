@@ -10,20 +10,28 @@ import (
 	"ntisim/internal/oscillator"
 	"ntisim/internal/sim"
 	"ntisim/internal/timefmt"
+	"ntisim/internal/trace"
 	"ntisim/internal/utcsu"
 )
 
 func rig(seed uint64) (*sim.Simulator, *network.Medium, *nti.NTI, *COMCO, *nti.NTI, *COMCO) {
+	return rigTraced(seed, nil)
+}
+
+// rigTraced is rig on a simulator instrumented with tr; the two
+// controllers' records are attributed to nodes 0 and 1.
+func rigTraced(seed uint64, tr *trace.Tracer) (*sim.Simulator, *network.Medium, *nti.NTI, *COMCO, *nti.NTI, *COMCO) {
 	s := sim.New(seed)
+	s.Instrument(tr, nil)
 	med := network.NewMedium(s, network.DefaultLAN())
-	mk := func(label string) (*nti.NTI, *COMCO) {
+	mk := func(label string, node int) (*nti.NTI, *COMCO) {
 		o := oscillator.New(s, oscillator.Ideal(10e6), label)
 		u := utcsu.New(s, utcsu.Config{Osc: o})
 		n := nti.New(u)
-		return n, New(s, n, med, Default82596(), label)
+		return n, NewChannel(s, n, med, Default82596(), label, node, 0)
 	}
-	na, ca := mk("a")
-	nb, cb := mk("b")
+	na, ca := mk("a", 0)
+	nb, cb := mk("b", 1)
 	return s, med, na, ca, nb, cb
 }
 
@@ -133,11 +141,11 @@ func TestCorruptFlagPropagates(t *testing.T) {
 	o1 := oscillator.New(s, oscillator.Ideal(10e6), "a")
 	u1 := utcsu.New(s, utcsu.Config{Osc: o1})
 	n1 := nti.New(u1)
-	c1 := New(s, n1, med, Default82596(), "a")
+	c1 := NewChannel(s, n1, med, Default82596(), "a", 0, 0)
 	o2 := oscillator.New(s, oscillator.Ideal(10e6), "b")
 	u2 := utcsu.New(s, utcsu.Config{Osc: o2})
 	n2 := nti.New(u2)
-	c2 := New(s, n2, med, Default82596(), "b")
+	c2 := NewChannel(s, n2, med, Default82596(), "b", 1, 0)
 	_ = c1
 	sawCorrupt := false
 	c2.OnRxStored(func(_ uint64, _ uint32, _ int, corrupt bool) { sawCorrupt = corrupt })

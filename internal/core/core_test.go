@@ -1,45 +1,69 @@
+// Package core holds end-to-end tests of the assembled system as
+// examples/quickstart composes it on cluster: optional round-trip delay
+// calibration, start half a second later, a warm-up, then a sampled
+// measurement window. The package has no non-test code.
 package core
 
 import (
 	"testing"
 
+	"ntisim/internal/clocksync"
+	"ntisim/internal/cluster"
 	"ntisim/internal/gps"
+	"ntisim/internal/metrics"
 )
 
-func TestNewSystemValidation(t *testing.T) {
-	if _, err := NewSystem(Options{Nodes: 0}); err == nil {
-		t.Error("zero nodes accepted")
+// report summarizes one measurement window.
+type report struct {
+	precision, accuracy metrics.Series
+	violations          int
+	bounds              clocksync.DelayBounds
+	perNode             []clocksync.Stats
+}
+
+// run builds cfg, calibrates the delay bounds when measure is set,
+// starts every synchronizer, warms up for warmupS and samples measureS
+// seconds once per second.
+func run(cfg cluster.Config, measure bool, warmupS, measureS float64) report {
+	var rep report
+	c := cluster.New(cfg)
+	if measure {
+		rep.bounds = c.MeasureDelay(0, 1, 16)
+		for _, m := range c.Members {
+			m.Sync.SetDelayBounds(rep.bounds)
+		}
 	}
-	if _, err := NewSystem(Options{Nodes: 2, TimestampMode: "bogus"}); err == nil {
-		t.Error("bogus mode accepted")
+	c.Start(c.Now() + 0.5)
+	c.RunUntil(c.Now() + warmupS)
+	from := c.Now()
+	for _, cs := range c.RunSampled(from, from+measureS, 1) {
+		rep.precision.Add(cs.Precision)
+		rep.accuracy.Add(cs.MaxAbsOffset)
+		if !cs.Contained {
+			rep.violations++
+		}
 	}
-	if _, err := NewSystem(Options{Nodes: 2, OscillatorGrade: "cesium"}); err == nil {
-		t.Error("bogus oscillator grade accepted")
+	for _, m := range c.Members {
+		rep.perNode = append(rep.perNode, m.Sync.Stats())
 	}
-	if _, err := NewSystem(Options{Nodes: 2, GPS: []int{7}}); err == nil {
-		t.Error("out-of-range GPS index accepted")
-	}
+	return rep
 }
 
 func TestBasicRun(t *testing.T) {
-	sys, err := NewSystem(Options{Nodes: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := sys.Run(15, 30, 1)
-	if rep.Precision.N() == 0 {
+	rep := run(cluster.Defaults(4, 1), false, 15, 30)
+	if rep.precision.N() == 0 {
 		t.Fatal("no samples")
 	}
-	if rep.Precision.Max() > 10e-6 {
-		t.Errorf("precision %v", rep.Precision.Max())
+	if rep.precision.Max() > 10e-6 {
+		t.Errorf("precision %v", rep.precision.Max())
 	}
-	if rep.ContainmentViolations != 0 {
-		t.Errorf("%d containment violations", rep.ContainmentViolations)
+	if rep.violations != 0 {
+		t.Errorf("%d containment violations", rep.violations)
 	}
-	if len(rep.PerNode) != 4 {
-		t.Errorf("per-node stats: %d", len(rep.PerNode))
+	if len(rep.perNode) != 4 {
+		t.Errorf("per-node stats: %d", len(rep.perNode))
 	}
-	for i, st := range rep.PerNode {
+	for i, st := range rep.perNode {
 		if st.Rounds == 0 {
 			t.Errorf("node %d ran no rounds", i)
 		}
@@ -47,79 +71,42 @@ func TestBasicRun(t *testing.T) {
 }
 
 func TestMeasuredDelays(t *testing.T) {
-	sys, err := NewSystem(Options{Nodes: 4, Seed: 2, MeasureDelays: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := sys.Run(15, 30, 1)
-	if sys.DelayBounds.Samples == 0 {
+	rep := run(cluster.Defaults(4, 2), true, 15, 30)
+	if rep.bounds.Samples == 0 {
 		t.Error("delay measurement skipped")
 	}
-	if rep.Precision.Max() > 10e-6 {
-		t.Errorf("precision %v", rep.Precision.Max())
+	if rep.precision.Max() > 10e-6 {
+		t.Errorf("precision %v", rep.precision.Max())
 	}
 	// With measured (unbiased) bounds the ensemble does not creep:
 	// accuracy stays bounded over the window even without GPS.
-	if rep.Accuracy.Max() > 500e-6 {
-		t.Errorf("accuracy drifting: %v", rep.Accuracy.Max())
+	if rep.accuracy.Max() > 500e-6 {
+		t.Errorf("accuracy drifting: %v", rep.accuracy.Max())
 	}
 }
 
 func TestGPSOption(t *testing.T) {
-	sys, err := NewSystem(Options{Nodes: 4, Seed: 3, GPS: []int{0}, MeasureDelays: true})
-	if err != nil {
-		t.Fatal(err)
+	cfg := cluster.Defaults(4, 3)
+	cfg.GPS = map[int]gps.Config{0: gps.DefaultReceiver()}
+	rep := run(cfg, true, 30, 60)
+	if rep.accuracy.Max() > 50e-6 {
+		t.Errorf("UTC accuracy with GPS: %v", rep.accuracy.Max())
 	}
-	rep := sys.Run(30, 60, 1)
-	if rep.Accuracy.Max() > 50e-6 {
-		t.Errorf("UTC accuracy with GPS: %v", rep.Accuracy.Max())
-	}
-	if rep.PerNode[0].ExternalAccepted == 0 {
+	if rep.perNode[0].ExternalAccepted == 0 {
 		t.Error("GPS never accepted")
 	}
 }
 
 func TestGPSFaultOption(t *testing.T) {
-	sys, err := NewSystem(Options{
-		Nodes: 4, Seed: 4, MeasureDelays: true,
-		GPSFaults: map[int][]gps.Fault{
-			0: {{Kind: gps.FaultOffset, Start: 40, Magnitude: 20e-3}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := sys.Run(60, 40, 1)
-	if rep.PerNode[0].ExternalRejected == 0 {
+	cfg := cluster.Defaults(4, 4)
+	rx := gps.DefaultReceiver()
+	rx.Faults = []gps.Fault{{Kind: gps.FaultOffset, Start: 40, Magnitude: 20e-3}}
+	cfg.GPS = map[int]gps.Config{0: rx}
+	rep := run(cfg, true, 60, 40)
+	if rep.perNode[0].ExternalRejected == 0 {
 		t.Error("fault never rejected")
 	}
-	if rep.Precision.Max() > 20e-6 {
-		t.Errorf("precision under GPS fault: %v", rep.Precision.Max())
-	}
-}
-
-func TestTaskModeIsWorse(t *testing.T) {
-	run := func(mode string) float64 {
-		sys, err := NewSystem(Options{Nodes: 4, Seed: 5, TimestampMode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := sys.Run(15, 30, 1)
-		return rep.Precision.Max()
-	}
-	nti := run("nti")
-	task := run("task")
-	if task < 5*nti {
-		t.Errorf("task-level sync (%v) should be far worse than NTI (%v)", task, nti)
-	}
-}
-
-func TestIdempotentStart(t *testing.T) {
-	sys, _ := NewSystem(Options{Nodes: 2, Seed: 6})
-	sys.Start()
-	sys.Start()
-	rep := sys.Run(5, 5, 1)
-	if rep.Precision.N() == 0 {
-		t.Error("no samples after double start")
+	if rep.precision.Max() > 20e-6 {
+		t.Errorf("precision under GPS fault: %v", rep.precision.Max())
 	}
 }

@@ -54,7 +54,7 @@ func E15ReceiverCensus(seed uint64) Result {
 		if acc == 0 {
 			acc = 1e-6
 		}
-		gps.New(s, c.cfg, c.name, func(p gps.Pulse) {
+		gps.New(s, c.cfg, -1, c.name, func(p gps.Pulse) {
 			c.pulses++
 			// Judge against simulation truth: the pulse physically marks
 			// the nearest whole second; the label should name it.

@@ -102,24 +102,18 @@ type Receiver struct {
 	lastFault FaultKind
 }
 
-// SetTracer attaches an event tracer (nil detaches), attributing this
-// receiver's records to node id `node`. The receiver emits fault-onset
-// and fault-clear records at the pulse-generator granularity (1 s).
-func (r *Receiver) SetTracer(tr *trace.Tracer, node int) {
-	r.tr = tr
-	r.trNode = node
-}
-
 // New creates a receiver whose pulses are delivered to out. Pulses start
-// at the next whole simulated second after start.
-func New(s *sim.Simulator, cfg Config, label string, out func(Pulse)) *Receiver {
+// at the next whole simulated second after start. The receiver emits
+// fault-onset and fault-clear records on the simulator's tracer at the
+// pulse-generator granularity (1 s), attributed to node id node.
+func New(s *sim.Simulator, cfg Config, node int, label string, out func(Pulse)) *Receiver {
 	if cfg.SawtoothS <= 0 {
 		cfg.SawtoothS = 200e-9
 	}
 	if cfg.AccuracyS <= 0 {
 		cfg.AccuracyS = 1e-6
 	}
-	r := &Receiver{s: s, cfg: cfg, rng: s.RNG("gps/" + label), out: out}
+	r := &Receiver{s: s, cfg: cfg, rng: s.RNG("gps/" + label), out: out, tr: s.Tracer(), trNode: node}
 	// The generator runs `lead` ahead of each second so pulses with
 	// negative errors can still be delivered at their physical time.
 	start := float64(int64(s.Now())+1) + 1 - pulseLead

@@ -86,26 +86,21 @@ type LinkPort struct {
 	tmRx *telemetry.Counter
 }
 
-// SetTelemetry registers WAN-traffic counters (uplink frames forwarded,
-// downlink frames delivered) on r; nil detaches.
-func (p *LinkPort) SetTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		p.tmTx, p.tmRx = nil, nil
-		return
-	}
-	p.tmTx = r.Counter("net.wan_tx")
-	p.tmRx = r.Counter("net.wan_rx")
-}
-
 // NewLinkPort creates the home end of a link on the home shard's
 // simulator. forward receives each uplink frame (payload already a
 // private copy, AcquiredAt set to the uplink serialization start) at
 // serialization end; the cluster posts it across the shard boundary.
+// The port counts uplink frames forwarded and downlink frames delivered
+// on the simulator's registry.
 func NewLinkPort(s *sim.Simulator, cfg LinkConfig, forward func(f Frame), rewrite RewriteFunc) *LinkPort {
 	if forward == nil {
 		panic("network: LinkPort needs a forward callback")
 	}
-	return &LinkPort{s: s, cfg: cfg.withDefaults(), forward: forward, rewrite: rewrite}
+	return &LinkPort{
+		s: s, cfg: cfg.withDefaults(), forward: forward, rewrite: rewrite,
+		tmTx: s.Telemetry().Counter("net.wan_tx"),
+		tmRx: s.Telemetry().Counter("net.wan_rx"),
+	}
 }
 
 // Attach registers the single served station. The returned id is
@@ -209,22 +204,14 @@ type Relay struct {
 	tmFwd   *telemetry.Counter
 }
 
-// SetTelemetry registers the relay-traffic counter (remote-LAN frames
-// captured for the far gateway) on r; nil detaches.
-func (r *Relay) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		r.tmFwd = nil
-		return
-	}
-	r.tmFwd = reg.Counter("net.relay_fwd")
-}
-
-// NewRelay attaches a relay to the remote medium.
+// NewRelay attaches a relay to the remote medium. The relay counts the
+// remote-LAN frames it captures for the far gateway on the registry of
+// the medium's simulator.
 func NewRelay(med *Medium, forward func(f Frame), rewrite RewriteFunc) *Relay {
 	if forward == nil {
 		panic("network: Relay needs a forward callback")
 	}
-	r := &Relay{med: med, forward: forward, rewrite: rewrite}
+	r := &Relay{med: med, forward: forward, rewrite: rewrite, tmFwd: med.s.Telemetry().Counter("net.relay_fwd")}
 	r.id = med.Attach(r)
 	return r
 }

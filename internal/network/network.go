@@ -166,7 +166,7 @@ type Medium struct {
 	freeDeliv   []*delivery
 	bgPayload   []byte
 
-	// Telemetry handles (SetTelemetry); nil-receiver no-ops when off.
+	// Telemetry handles; nil-receiver no-ops when off.
 	tmSent      *telemetry.Counter
 	tmLost      *telemetry.Counter
 	tmCorrupt   *telemetry.Counter
@@ -176,7 +176,14 @@ type Medium struct {
 	tmBusy      *telemetry.Gauge
 }
 
-// NewMedium attaches a broadcast bus to the simulator.
+// NewMedium attaches a broadcast bus to the simulator. The medium emits
+// frame-tx / frame-lost / frame-rx records on the simulator's tracer (it
+// never consumes RNG or changes timing on its behalf) and registers the
+// bus metrics on its registry: frames sent/lost/corrupt, background
+// frames, contended acquisitions (frames that found the bus busy — the
+// shared-Ethernet stand-in for collisions), the tx-ring backlog gauge
+// and the cumulative bus-busy-seconds integral (occupancy = Δbusy/Δt
+// between snapshots).
 func NewMedium(s *sim.Simulator, cfg MediumConfig) *Medium {
 	if cfg.BitRateBps <= 0 {
 		cfg.BitRateBps = 10e6
@@ -190,9 +197,17 @@ func NewMedium(s *sim.Simulator, cfg MediumConfig) *Medium {
 	if cfg.PropDelayS < 0 {
 		panic("network: negative propagation delay")
 	}
-	m := &Medium{s: s, cfg: cfg, rng: s.RNG("medium")}
+	m := &Medium{s: s, cfg: cfg, rng: s.RNG("medium"), tr: s.Tracer()}
 	m.transmitFn = m.transmitCur
 	m.startNextFn = m.startNext
+	r := s.Telemetry()
+	m.tmSent = r.Counter("net.frames_sent")
+	m.tmLost = r.Counter("net.frames_lost")
+	m.tmCorrupt = r.Counter("net.crc_corrupt")
+	m.tmBg = r.Counter("net.bg_frames")
+	m.tmContended = r.Counter("net.contended")
+	m.tmBacklog = r.Gauge("net.tx_backlog")
+	m.tmBusy = r.Gauge("net.bus_busy_s")
 	return m
 }
 
@@ -212,31 +227,6 @@ func (m *Medium) Bitrate() float64 { return m.cfg.BitRateBps }
 // bytes.
 func (m *Medium) FrameDuration(n int) float64 {
 	return (float64(m.cfg.PreambleBits) + 8*float64(n)) / m.cfg.BitRateBps
-}
-
-// SetTracer attaches an event tracer (nil detaches). The medium emits
-// frame-tx / frame-lost / frame-rx records; it never consumes RNG or
-// changes timing on behalf of the tracer.
-func (m *Medium) SetTracer(tr *trace.Tracer) { m.tr = tr }
-
-// SetTelemetry registers the bus metrics on r: frames sent/lost/corrupt,
-// background frames, contended acquisitions (frames that found the bus
-// busy — the shared-Ethernet stand-in for collisions), the tx-ring
-// backlog gauge and the cumulative bus-busy-seconds integral (occupancy
-// = Δbusy/Δt between snapshots). A nil r detaches.
-func (m *Medium) SetTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		m.tmSent, m.tmLost, m.tmCorrupt, m.tmBg, m.tmContended = nil, nil, nil, nil, nil
-		m.tmBacklog, m.tmBusy = nil, nil
-		return
-	}
-	m.tmSent = r.Counter("net.frames_sent")
-	m.tmLost = r.Counter("net.frames_lost")
-	m.tmCorrupt = r.Counter("net.crc_corrupt")
-	m.tmBg = r.Counter("net.bg_frames")
-	m.tmContended = r.Counter("net.contended")
-	m.tmBacklog = r.Gauge("net.tx_backlog")
-	m.tmBusy = r.Gauge("net.bus_busy_s")
 }
 
 // Send queues a frame for transmission and returns the frame's

@@ -31,13 +31,13 @@ func TestArrivalRegistry(t *testing.T) {
 			t.Errorf("panic %v does not list the valid choices", p)
 		}
 	}()
-	New(sim.New(1), Config{Clients: 1, Arrival: "uniform"}, 0, 1, 1, func() float64 { return 0 }, nil)
+	New(sim.New(1), Config{Clients: 1, Arrival: "uniform"}, 0, 1, 1, func() float64 { return 0 })
 }
 
 // runGenerator drives one generator for spanS seconds of sim time.
 func runGenerator(cfg Config, qps, spanS float64, sample func() float64) *Generator {
 	s := sim.New(1)
-	g := New(s, cfg, 0, sim.DeriveSeed(9, "service/node/0"), qps, sample, nil)
+	g := New(s, cfg, 0, sim.DeriveSeed(9, "service/node/0"), qps, sample)
 	g.Start(s.Now())
 	s.RunUntil(spanS)
 	return g
@@ -74,7 +74,7 @@ func TestMMPPBurstsAreBursty(t *testing.T) {
 	// be visibly bimodal: compare windowed maxima against the mean.
 	cfg := Config{Clients: 1, Arrival: "mmpp", BurstFactor: 50, BurstFrac: 0.05, BurstDwellS: 1}
 	s := sim.New(1)
-	g := New(s, cfg, 0, 77, 100, nil, nil)
+	g := New(s, cfg, 0, 77, 100, nil)
 	g.sample = func() float64 { return 0 }
 	g.Start(0)
 	var counts []uint64
@@ -117,7 +117,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 func TestGeneratorSteadyStateAllocFree(t *testing.T) {
 	s := sim.New(1)
 	// 1e6 clients x 0.1 qps on one node: lambda = 1000 per 10 ms tick.
-	g := New(s, Config{Clients: 1000000, Arrival: "mmpp"}, 0, 5, 100000, func() float64 { return 3e-6 }, nil)
+	g := New(s, Config{Clients: 1000000, Arrival: "mmpp"}, 0, 5, 100000, func() float64 { return 3e-6 })
 	g.Start(s.Now())
 	s.RunUntil(1) // warm up the ticker and event pool
 	allocs := testing.AllocsPerRun(200, func() {
@@ -136,7 +136,7 @@ func TestCollectMergesNodes(t *testing.T) {
 	sample := func() float64 { return 1e-6 }
 	var gens []*Generator
 	for i := 0; i < 3; i++ {
-		g := New(s, Config{Clients: 300}, i, uint64(i+1), 100, sample, nil)
+		g := New(s, Config{Clients: 300}, i, uint64(i+1), 100, sample)
 		g.Start(0)
 		gens = append(gens, g)
 	}

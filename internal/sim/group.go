@@ -62,7 +62,7 @@ type Group struct {
 	outbox [][]crossPost // one append-only outbox per source shard
 	merged []crossPost   // flush scratch, reused across windows
 
-	// Telemetry handles (SetTelemetry): window count, flushed cross-shard
+	// Telemetry handles (see NewGroup): window count, flushed cross-shard
 	// posts, events per window and the per-window shard imbalance ratio.
 	// All updates happen strictly between windows, so they are as
 	// deterministic as the window boundaries.
@@ -75,18 +75,43 @@ type Group struct {
 
 // NewGroup builds a Group over the given shards. lookahead is the
 // minimum cross-shard latency in simulated seconds and must be > 0.
-func NewGroup(lookahead float64, shards []*Simulator) *Group {
+//
+// reg is the driver-level registry (nil = telemetry off), touched only
+// between windows. On it the group registers a window counter, a
+// flushed cross-shard post counter, an events-per-window gauge and a
+// shard-imbalance gauge (busiest shard's window events over the
+// per-shard mean; 1.0 = perfectly balanced, S = one shard did all the
+// work). On each shard's own registry it registers capture-time gauges
+// of the shard's cumulative fired events and its window lag (how far
+// short of the group clock the shard went idle).
+//
+// Wall-clock shard utilization is deliberately absent: it would differ
+// run to run, and snapshots must stay a pure function of sim state. The
+// live Monitor owns wall-clock observations.
+func NewGroup(lookahead float64, shards []*Simulator, reg *telemetry.Registry) *Group {
 	if len(shards) == 0 {
 		panic("sim: NewGroup with no shards")
 	}
 	if !(lookahead > 0) {
 		panic(fmt.Sprintf("sim: NewGroup lookahead %v must be > 0", lookahead))
 	}
-	return &Group{
+	g := &Group{
 		shards:    shards,
 		lookahead: lookahead,
 		outbox:    make([][]crossPost, len(shards)),
 	}
+	if reg != nil {
+		g.tmWindows = reg.Counter("group.windows")
+		g.tmPosts = reg.Counter("group.posts_flushed")
+		g.tmWinEvents = reg.Gauge("group.window_events")
+		g.tmImbalance = reg.Gauge("group.imbalance")
+		g.tmPrevFired = make([]uint64, len(shards))
+	}
+	for _, s := range shards {
+		s.reg.GaugeFunc(telemetry.MetricShardEvents, func() float64 { return float64(s.EventCount()) })
+		s.reg.GaugeFunc("group.shard_lag_s", func() float64 { return g.Now() - s.LastFiredAt() })
+	}
+	return g
 }
 
 // Shards returns the number of sub-simulators.
@@ -115,28 +140,6 @@ func (g *Group) EventCount() uint64 {
 		n += s.EventCount()
 	}
 	return n
-}
-
-// SetTelemetry registers the group's conservative-sync metrics on r:
-// a window counter, a flushed cross-shard post counter, an
-// events-per-window gauge and a shard-imbalance gauge (busiest shard's
-// window events over the per-shard mean; 1.0 = perfectly balanced, S =
-// one shard did all the work). A nil r detaches.
-//
-// Wall-clock shard utilization is deliberately absent: it would differ
-// run to run, and snapshots must stay a pure function of sim state. The
-// live Monitor owns wall-clock observations.
-func (g *Group) SetTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		g.tmWindows, g.tmPosts, g.tmWinEvents, g.tmImbalance = nil, nil, nil, nil
-		g.tmPrevFired = nil
-		return
-	}
-	g.tmWindows = r.Counter("group.windows")
-	g.tmPosts = r.Counter("group.posts_flushed")
-	g.tmWinEvents = r.Gauge("group.window_events")
-	g.tmImbalance = r.Gauge("group.imbalance")
-	g.tmPrevFired = make([]uint64, len(g.shards))
 }
 
 // windowTelemetry records one completed window: total events fired in it

@@ -64,7 +64,7 @@ func (p groupProgram) run(grouped bool) ([][]groupFire, uint64) {
 	var g *Group
 	var global *Simulator
 	if grouped {
-		g = NewGroup(p.lookahead, sims)
+		g = NewGroup(p.lookahead, sims, nil)
 	} else {
 		global = New(0)
 		for i := range sims {

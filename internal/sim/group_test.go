@@ -22,7 +22,7 @@ func TestDeriveSeedMatchesDerive(t *testing.T) {
 
 func TestGroupFlushTieBreakOrder(t *testing.T) {
 	sims := []*Simulator{New(1), New(2), New(3)}
-	g := NewGroup(1e-3, sims)
+	g := NewGroup(1e-3, sims, nil)
 	var order []int
 	// Post out of source order, all to shard 0 at the same time; the
 	// canonical flush order is (at, src, posting order).
@@ -40,7 +40,7 @@ func TestGroupFlushTieBreakOrder(t *testing.T) {
 
 func TestGroupPostLookaheadViolationPanics(t *testing.T) {
 	sims := []*Simulator{New(1), New(2)}
-	g := NewGroup(1e-3, sims)
+	g := NewGroup(1e-3, sims, nil)
 	sims[0].At(0.5e-3, func() {
 		// Window end is 1e-3; targeting before it violates lookahead.
 		defer func() {
@@ -57,7 +57,7 @@ func TestGroupPostLookaheadViolationPanics(t *testing.T) {
 // the RunUntil caller unchanged.
 func TestGroupWorkerPanicPropagates(t *testing.T) {
 	sims := []*Simulator{New(1), New(2), New(3), New(4)}
-	g := NewGroup(1e-3, sims)
+	g := NewGroup(1e-3, sims, nil)
 	sims[2].At(0.4e-3, func() { panic("shard model exploded") })
 	defer func() {
 		r := recover()
@@ -73,7 +73,7 @@ func TestGroupWorkerPanicPropagates(t *testing.T) {
 
 func TestGroupRunUntilReachesHorizon(t *testing.T) {
 	sims := []*Simulator{New(1), New(2)}
-	g := NewGroup(1e-3, sims)
+	g := NewGroup(1e-3, sims, nil)
 	if got := g.RunUntil(0.0137); got != 0.0137 {
 		t.Fatalf("group clock = %v, want horizon", got)
 	}

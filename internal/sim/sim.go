@@ -82,18 +82,24 @@ type Simulator struct {
 	free       []*Event
 	tombstones int
 
-	// tr is non-nil only when a tracer with dispatch recording is
-	// attached (see SetTracer); the fire loops then emit one
-	// KindEventFire record per dispatched event.
+	// tr is non-nil only when the tracer asks for dispatch records; the
+	// fire loops then emit one KindEventFire record per dispatched
+	// event, and otherwise pay a single never-taken branch.
 	tr *trace.Tracer
 
-	// Telemetry handles (see SetTelemetry). All nil when telemetry is
-	// off; their methods are nil-receiver no-ops, so the hot paths pay
-	// one predictable branch each — same contract as tr above.
+	// Telemetry handles, registered by Instrument. All nil when
+	// telemetry is off; their methods are nil-receiver no-ops, so the
+	// hot paths pay one predictable branch each — same contract as tr.
 	tmScheduled *telemetry.Counter
 	tmFired     *telemetry.Counter
 	tmCancelled *telemetry.Counter
 	tmDepth     *telemetry.Gauge
+
+	// tracer and reg are the domain's instruments (see Instrument);
+	// every layer built on this simulator reads them at construction,
+	// never on the hot path, so they sit after the hot fields.
+	tracer *trace.Tracer
+	reg    *telemetry.Registry
 }
 
 // New creates a Simulator whose stochastic components derive their RNG
@@ -117,15 +123,20 @@ func (s *Simulator) EventCount() uint64 { return s.fired }
 // shard went idle.
 func (s *Simulator) LastFiredAt() float64 { return s.lastFired }
 
-// SetTelemetry registers this simulator's kernel metrics on r and keeps
-// the update handles: events scheduled/fired/cancelled counters and the
-// event-queue depth gauge (with high-water mark), plus snapshot-time
-// pool-occupancy gauges (arena size and free-list length) that cost
-// nothing between captures. A nil r detaches, restoring the all-nil
-// handles of the free disabled path.
-func (s *Simulator) SetTelemetry(r *telemetry.Registry) {
+// Instrument attaches the domain's tracer and telemetry registry (either
+// may be nil). It must be called before anything is built on the
+// simulator: the medium, node, synchronizer and every other layer read
+// their instruments from Tracer and Telemetry in their constructors.
+// On r it registers the kernel metrics: events scheduled/fired/cancelled
+// counters, the event-queue depth gauge (with high-water mark), and
+// snapshot-time pool-occupancy gauges (arena size and free-list length)
+// that cost nothing between captures.
+func (s *Simulator) Instrument(tr *trace.Tracer, r *telemetry.Registry) {
+	s.tracer, s.reg = tr, r
+	if tr.Options().Dispatch {
+		s.tr = tr
+	}
 	if r == nil {
-		s.tmScheduled, s.tmFired, s.tmCancelled, s.tmDepth = nil, nil, nil, nil
 		return
 	}
 	s.tmScheduled = r.Counter("sim.events_scheduled")
@@ -136,18 +147,11 @@ func (s *Simulator) SetTelemetry(r *telemetry.Registry) {
 	r.GaugeFunc("sim.pool_free", func() float64 { return float64(len(s.free)) })
 }
 
-// SetTracer attaches an event tracer. Dispatch records are only kept
-// when the tracer asks for them (trace.Options.Dispatch) — otherwise
-// the field stays nil and the fire loops pay a single never-taken
-// branch, keeping the traced-but-quiet hot path identical to the
-// untraced one.
-func (s *Simulator) SetTracer(tr *trace.Tracer) {
-	if tr != nil && tr.Options().Dispatch {
-		s.tr = tr
-	} else {
-		s.tr = nil
-	}
-}
+// Tracer returns the domain's tracer (nil when tracing is off).
+func (s *Simulator) Tracer() *trace.Tracer { return s.tracer }
+
+// Telemetry returns the domain's metrics registry (nil when off).
+func (s *Simulator) Telemetry() *telemetry.Registry { return s.reg }
 
 // alloc takes an Event from the free list, growing the arena only when
 // the list is empty (steady state never grows it).
