@@ -30,16 +30,20 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# fuzz-smoke runs two oracle fuzzers for 10 s each. sim.Group: random
+# fuzz-smoke runs three oracle fuzzers for 10 s each. sim.Group: random
 # programs of tickers and cross-shard posts must fire the same events in
 # the same order on a Group as on one global Simulator. Fusion: every
-# interval.Fuser method must equal its package reference bit for bit,
-# and fault-tolerant intersection must contain true time whenever at
-# most f inputs lie. The committed seed corpora (internal/sim/testdata
-# and internal/interval/testdata) also run as part of `go test`.
+# interval.Fuser method must equal its naive test-code reference bit for
+# bit, and fault-tolerant intersection must contain true time whenever
+# at most f inputs lie. Sketch merge: a quantile.Sketch merged from two
+# halves of a weighted stream must equal the whole stream's sketch bit
+# for bit (sum to 1e-12). The committed seed corpora (testdata/fuzz in
+# internal/sim, internal/interval and internal/quantile) also run as
+# part of `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupMatchesSingleHeap$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzFuserMatchesReference$$' -fuzztime 10s ./internal/interval
+	$(GO) test -run '^$$' -fuzz '^FuzzSketchMerge$$' -fuzztime 10s ./internal/quantile
 
 # examples runs every program under examples/ with go run; each prints
 # a short report and exits 0, so an example that stops building or

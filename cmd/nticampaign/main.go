@@ -1,14 +1,17 @@
-// Command nticampaign runs full experiment campaigns — EXPERIMENTS.md
-// style matrices of cluster size × round period × background load, or
-// the complete GPS fault × policy grid — through the internal/harness
-// engine: every cell an independent deterministic simulation, fanned
-// across all cores, with JSONL/CSV/manifest artifacts and Markdown
-// reports.
+// Command nticampaign runs experiment campaigns — one-axis sweeps,
+// EXPERIMENTS.md style matrices of cluster size × round period ×
+// background load, or the complete GPS fault × policy grid — through
+// the internal/harness engine: every cell an independent deterministic
+// simulation, fanned across all cores, with JSONL/CSV/manifest
+// artifacts and Markdown reports.
 //
 // Usage:
 //
 //	nticampaign -list                        # available presets
 //	nticampaign -preset matrix -out artifacts/
+//	nticampaign -preset sweep-nodes          # one axis (nodes|period|load|
+//	                                         # fosc|f|discipline|clients|arrival)
+//	nticampaign -preset faults               # GPS fault × policy matrix
 //	nticampaign -preset smoke -out artifacts/ -trace  # + per-cell traces
 //	nticampaign -preset smoke -seeds 3 -report report.md
 //	nticampaign -refine load=2e-6            # bisect load until mean
@@ -219,6 +222,35 @@ var presets = map[string]preset{
 	},
 }
 
+// sweepAxes generates the one-axis presets sweep-<axis name>: each runs
+// one harness axis at its points around the 8-node prototype over the
+// harness's default 60 s window.
+var sweepAxes = []func() harness.Axis{
+	func() harness.Axis { return harness.NodesAxis() },
+	func() harness.Axis { return harness.PeriodAxis() },
+	func() harness.Axis { return harness.LoadAxis() },
+	func() harness.Axis { return harness.FoscAxis() },
+	func() harness.Axis { return harness.FAxis(10) },
+	func() harness.Axis { return harness.DisciplineAxis() },
+	func() harness.Axis { return harness.ClientsAxis(10000, 100000, 1000000) },
+	func() harness.Axis { return harness.ArrivalAxis() },
+}
+
+func init() {
+	for _, axis := range sweepAxes {
+		ax := axis()
+		p := preset{
+			desc:   fmt.Sprintf("one-axis sweep of %s (%d points) on the 8-node prototype", ax.Name, len(ax.Points)),
+			points: func() []harness.Point { return axis().Points },
+		}
+		if ax.Name == "arrival" {
+			// Arrival processes only matter with a population to serve.
+			p.spec = func(s *harness.Spec) { s.Base.Serving.Clients = 100000 }
+		}
+		presets["sweep-"+ax.Name] = p
+	}
+}
+
 func presetChoices() string {
 	var names []string
 	for n := range presets {
@@ -351,13 +383,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		var names []string
-		for n := range presets {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(stdout, "%-9s %s\n", n, presets[n].desc)
+		for _, n := range strings.Split(presetChoices(), "|") {
+			fmt.Fprintf(stdout, "%-16s %s\n", n, presets[n].desc)
 		}
 		return 0
 	}

@@ -5,10 +5,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"ntisim/internal/golden"
+	"ntisim/internal/harness"
 )
 
 // TestGolden runs every campaign gate exactly as its command line and
@@ -73,5 +75,64 @@ func TestExitCodes(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("nticampaign %s: unexpected stdout %q", strings.Join(tc.args, " "), stdout.String())
 		}
+	}
+}
+
+// TestSweepPresets: every sweep-* preset runs exactly its harness axis
+// (the points are built, not run), the arrival sweep carries a client
+// population, and -list prints every preset.
+func TestSweepPresets(t *testing.T) {
+	want := map[string]harness.Axis{
+		"nodes":      harness.NodesAxis(),
+		"period":     harness.PeriodAxis(),
+		"load":       harness.LoadAxis(),
+		"fosc":       harness.FoscAxis(),
+		"f":          harness.FAxis(10),
+		"discipline": harness.DisciplineAxis(),
+		"clients":    harness.ClientsAxis(10000, 100000, 1000000),
+		"arrival":    harness.ArrivalAxis(),
+	}
+	sweeps := 0
+	for name := range presets {
+		if strings.HasPrefix(name, "sweep-") {
+			sweeps++
+		}
+	}
+	if sweeps != len(want) {
+		t.Errorf("%d sweep-* presets, want %d", sweeps, len(want))
+	}
+	for axis, ax := range want {
+		p, ok := presets["sweep-"+axis]
+		if !ok {
+			t.Errorf("no preset sweep-%s", axis)
+			continue
+		}
+		var got, exp []string
+		for _, pt := range p.points() {
+			got = append(got, pt.Label)
+		}
+		for _, pt := range ax.Points {
+			exp = append(exp, pt.Label)
+		}
+		if !slices.Equal(got, exp) {
+			t.Errorf("sweep-%s labels %v, want %v", axis, got, exp)
+		}
+	}
+	var spec harness.Spec
+	presets["sweep-arrival"].spec(&spec)
+	if spec.Base.Serving.Clients != 100000 {
+		t.Errorf("sweep-arrival population %d, want 100000", spec.Base.Serving.Clients)
+	}
+
+	var stdout bytes.Buffer
+	if code := run([]string{"-list"}, &stdout, io.Discard); code != 0 {
+		t.Fatalf("-list: exit %d", code)
+	}
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		listed = append(listed, strings.Fields(line)[0])
+	}
+	if names := strings.Split(presetChoices(), "|"); !slices.Equal(listed, names) {
+		t.Errorf("-list printed presets %v, want %v", listed, names)
 	}
 }

@@ -62,8 +62,9 @@ type Budget struct {
 //	2ρ(P+Δ) — relative drift accumulated between resynchronizations,
 //	(dmax−dmin)/2 — unobservable delay asymmetry.
 //
-// Measured precision must not exceed it (experiment E3/E15 check this);
-// typical-case precision is well below.
+// Measured precision must not exceed it; typical-case precision is well
+// below. No experiment checks the budget yet (E3 and E7 print only the
+// granularity term).
 func (b Budget) WorstCasePrecision() float64 {
 	return b.EpsS +
 		GranularityImpairment(b.GranuleS, b.RateUncS) +

@@ -30,7 +30,7 @@ func TestParamsDefaults(t *testing.T) {
 	if p.ComputeDelay != p.RoundPeriod/4 {
 		t.Errorf("compute delay %v", p.ComputeDelay)
 	}
-	if p.Convergence == nil || p.RhoPPB == 0 || p.AmortSpeedPPM == 0 {
+	if p.RhoPPB == 0 || p.AmortSpeedPPM == 0 {
 		t.Error("defaults incomplete")
 	}
 	if p.RateBaselineRounds == 0 || p.RateRhoFloorPPB == 0 {

@@ -6,14 +6,11 @@ import (
 	"ntisim/internal/interval"
 	"ntisim/internal/kernel"
 	"ntisim/internal/network"
+	"ntisim/internal/quantile"
 	"ntisim/internal/telemetry"
 	"ntisim/internal/timefmt"
 	"ntisim/internal/trace"
 )
-
-// ConvergeFunc fuses the preprocessed accuracy intervals of one round
-// into the node's improved interval, tolerating up to f faulty inputs.
-type ConvergeFunc func(ivs []interval.Interval, f int) (interval.Interval, bool)
 
 // Params configures a Synchronizer.
 type Params struct {
@@ -24,15 +21,13 @@ type Params struct {
 	ComputeDelay timefmt.Duration
 	// F is the number of faulty nodes to tolerate.
 	F int
-	// Convergence defaults to interval.OrthogonalAccuracy.
-	Convergence ConvergeFunc
 	// Discipline selects the clock-discipline algorithm each node runs
 	// (see internal/discipline): the factory is invoked once per
-	// synchronizer, so one Params value can serve a whole cluster. It
-	// generalizes Convergence — when nil, the synchronizer wraps
-	// Convergence (or, when that is also unset, the allocation-free
-	// orthogonal-accuracy baseline) as the discipline. Factories must
-	// be pure; campaign clones share them.
+	// synchronizer, so one Params value can serve a whole cluster. nil
+	// runs the paper's orthogonal-accuracy convergence function
+	// (discipline.NewInterval); another convergence function rides as
+	// discipline.WrapConverge. Factories must be pure; campaign clones
+	// share them.
 	Discipline discipline.Factory
 	// DelayMin/DelayMax bound the true delay between the peers'
 	// timestamping points, from a priori knowledge or MeasureDelay.
@@ -90,9 +85,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.ComputeDelay == 0 {
 		p.ComputeDelay = p.RoundPeriod / 4
-	}
-	if p.Convergence == nil {
-		p.Convergence = interval.OrthogonalAccuracy
 	}
 	if p.DelayMax == 0 {
 		p.DelayMax = timefmt.DurationFromSeconds(500e-6)
@@ -211,8 +203,8 @@ type Synchronizer struct {
 	tmFailed    *telemetry.Counter
 	tmRateCmds  *telemetry.Counter
 	tmSrcRej    *telemetry.Counter
-	tmWidth     *telemetry.Histogram
-	tmCorrOffst *telemetry.Histogram
+	tmWidth     *quantile.Sketch
+	tmCorrOffst *quantile.Sketch
 }
 
 type peerEntry struct {
@@ -232,24 +224,15 @@ type peerEntry struct {
 // histogram (post-validation, the quantity the paper's precision bound
 // is about) and the applied-correction magnitude histogram.
 func New(node *kernel.Node, clk Clock, p Params) *Synchronizer {
-	userConv, userDisc := p.Convergence, p.Discipline
 	sy := &Synchronizer{
 		node:      node,
 		clk:       clk,
 		p:         p.withDefaults(),
 		collected: make(map[uint32]map[uint16]peerEntry),
 	}
-	switch {
-	case userDisc != nil:
-		sy.disc = userDisc()
-	case userConv != nil:
-		// A bespoke convergence function (e.g. the E14 ablations) rides
-		// as a wrapped interval discipline.
-		sy.disc = discipline.WrapConverge("", discipline.ConvergeFunc(userConv))
-	default:
-		// The default is the paper's algorithm through the
-		// allocation-free fast path (identical results to
-		// interval.OrthogonalAccuracy).
+	if p.Discipline != nil {
+		sy.disc = p.Discipline()
+	} else {
 		sy.disc = discipline.NewInterval()
 	}
 	sy.discID = discipline.ID(sy.disc.Name())
@@ -549,9 +532,9 @@ func (sy *Synchronizer) converge(k uint32) {
 		sy.primaryUntil = sy.round + 2
 	}
 
-	sy.tmWidth.Observe(out.Hi().Sub(out.Lo()).Seconds())
+	sy.tmWidth.Add(out.Hi().Sub(out.Lo()).Seconds())
 	sy.enforce(now, out)
-	sy.tmCorrOffst.Observe(sy.stats.LastCorrection.Abs().Seconds())
+	sy.tmCorrOffst.Add(sy.stats.LastCorrection.Abs().Seconds())
 	if sy.tr != nil {
 		sy.tr.Emit(trace.KindRoundUpdate, sy.node.Sim.Now(), int(sy.node.ID), 0,
 			uint64(k), uint64(len(ivs)), sy.stats.LastCorrection.Seconds())

@@ -2,7 +2,7 @@
 // consumers of one resynchronization round's preprocessed accuracy
 // intervals that produce a state correction (and optionally a rate
 // adjustment) for the local clock. The paper's interval-based
-// convergence functions (interval.OrthogonalAccuracy and friends) are
+// convergence functions (interval.Fuser.OrthogonalAccuracy and friends) are
 // one Discipline among peers here, next to the filter/estimator
 // families modern time-sync stacks use: a steady-state Kalman offset
 // filter, an ntimed-style lucky-sample filter, a Theil-Sen robust

@@ -178,7 +178,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 // TestWrapConverge: an arbitrary convergence function plugs in as a
 // stateless discipline; the empty name reads back as "custom".
 func TestWrapConverge(t *testing.T) {
-	d := WrapConverge("", ConvergeFunc(interval.MarzulloMidpoint))
+	d := WrapConverge("", (*interval.Fuser).MarzulloMidpoint)
 	if d.Name() != "custom" {
 		t.Errorf("Name() = %q, want custom", d.Name())
 	}
@@ -190,7 +190,8 @@ func TestWrapConverge(t *testing.T) {
 	if !ok {
 		t.Fatal("Step failed")
 	}
-	want, _ := interval.MarzulloMidpoint(ivs, 0)
+	var fz interval.Fuser
+	want, _ := fz.MarzulloMidpoint(ivs, 0)
 	if act.Interval != want {
 		t.Errorf("wrapped result %v, want %v", act.Interval, want)
 	}

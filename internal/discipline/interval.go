@@ -2,31 +2,27 @@ package discipline
 
 import "ntisim/internal/interval"
 
-// ConvergeFunc fuses one round's accuracy intervals, tolerating up to f
-// faulty inputs. It has the same underlying type as
-// clocksync.ConvergeFunc, so existing convergence functions plug in
-// unchanged.
-type ConvergeFunc func(ivs []interval.Interval, f int) (interval.Interval, bool)
-
 // Interval adapts the paper's interval-based convergence functions to
 // the Discipline interface: the whole correction is the fused
 // interval, no filter state, no rate steering. This is the baseline
 // every other discipline is campaigned against.
 type Interval struct {
 	name string
-	fn   ConvergeFunc // nil: the allocation-free Fuser OA fast path
+	fn   func(*interval.Fuser, []interval.Interval, int) (interval.Interval, bool)
 	fz   interval.Fuser
 }
 
-// NewInterval returns the orthogonal-accuracy baseline discipline. It
-// computes exactly interval.OrthogonalAccuracy, through scratch buffers
-// that make the steady-state round allocation-free.
-func NewInterval() *Interval { return &Interval{name: "interval"} }
+// NewInterval returns the orthogonal-accuracy baseline discipline
+// (interval.Fuser.OrthogonalAccuracy), whose steady-state round is
+// allocation-free.
+func NewInterval() *Interval {
+	return &Interval{name: "interval", fn: (*interval.Fuser).OrthogonalAccuracy}
+}
 
-// WrapConverge adapts an arbitrary convergence function (e.g. the E14
-// ablations interval.OrthogonalAccuracyFTA or interval.MarzulloMidpoint)
-// as a Discipline.
-func WrapConverge(name string, fn ConvergeFunc) *Interval {
+// WrapConverge adapts another Fuser convergence function, given as a
+// method expression such as (*interval.Fuser).MarzulloMidpoint (the E14
+// ablations), as a Discipline.
+func WrapConverge(name string, fn func(*interval.Fuser, []interval.Interval, int) (interval.Interval, bool)) *Interval {
 	if name == "" {
 		name = "custom"
 	}
@@ -38,13 +34,7 @@ func (d *Interval) Name() string { return d.name }
 
 // Step implements Discipline.
 func (d *Interval) Step(s Sample) (Action, bool) {
-	var out interval.Interval
-	var ok bool
-	if d.fn != nil {
-		out, ok = d.fn(s.Intervals, s.F)
-	} else {
-		out, ok = d.fz.OrthogonalAccuracy(s.Intervals, s.F)
-	}
+	out, ok := d.fn(&d.fz, s.Intervals, s.F)
 	if !ok {
 		return Action{}, false
 	}

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"strconv"
+
 	"ntisim/internal/cluster"
+	"ntisim/internal/discipline"
 	"ntisim/internal/interval"
 	"ntisim/internal/metrics"
 )
@@ -25,9 +28,9 @@ func E14ConvergenceShootout(seed uint64) Result {
 	}
 	r.Table.Header = []string{"convergence fn", "worst prec [µs]", "mean prec [µs]", "failures"}
 
-	run := func(name string, fn clocksyncConverge) {
+	run := func(name string, fn func(*interval.Fuser, []interval.Interval, int) (interval.Interval, bool)) {
 		cfg := cluster.Defaults(8, seed)
-		cfg.Sync.Convergence = fn
+		cfg.Sync.Discipline = func() discipline.Discipline { return discipline.WrapConverge("", fn) }
 		c := cluster.New(cfg)
 		applyMeasuredDelays(c)
 		c.Start(c.Sim.Now() + 1)
@@ -36,13 +39,13 @@ func E14ConvergenceShootout(seed uint64) Result {
 		for _, m := range c.Members {
 			fails += m.Sync.Stats().ConvergenceFailed
 		}
-		r.Table.AddRow(name, metrics.Us(prec.Max()), metrics.Us(prec.Mean()), itoa64(fails))
+		r.Table.AddRow(name, metrics.Us(prec.Max()), metrics.Us(prec.Mean()), strconv.FormatUint(fails, 10))
 		r.Numbers["prec:"+name] = prec.Max()
 		r.Numbers["fails:"+name] = float64(fails)
 	}
-	run("OA (midpoint)", interval.OrthogonalAccuracy)
-	run("OA (average)", interval.OrthogonalAccuracyFTA)
-	run("Marzullo midpoint", interval.MarzulloMidpoint)
+	run("OA (midpoint)", (*interval.Fuser).OrthogonalAccuracy)
+	run("OA (average)", (*interval.Fuser).OrthogonalAccuracyFTA)
+	run("Marzullo midpoint", (*interval.Fuser).MarzulloMidpoint)
 
 	r.Claims["all three keep µs-range precision on a healthy LAN"] =
 		r.Numbers["prec:OA (midpoint)"] < 6e-6 &&
@@ -55,21 +58,4 @@ func E14ConvergenceShootout(seed uint64) Result {
 	r.Notes = append(r.Notes,
 		"with healthy, equal-width intervals all functions behave; the differences the paper's analysis targets are worst-case bounds and behaviour under faults (see E12)")
 	return r
-}
-
-// clocksyncConverge mirrors clocksync.ConvergeFunc without the import.
-type clocksyncConverge = func([]interval.Interval, int) (interval.Interval, bool)
-
-func itoa64(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

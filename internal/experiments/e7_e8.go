@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"ntisim/internal/analysis"
 	"ntisim/internal/baseline"
 	"ntisim/internal/clocksync"
 	"ntisim/internal/cluster"
@@ -110,8 +111,9 @@ func E8AdderVsCounter(seed uint64) Result {
 	}
 	pAdder, gA, uA := run(false)
 	pCounter, gC, uC := run(true)
-	boundAdder := 4*gA + 10*uA   // u per second over the 1 s round
-	boundCounter := 4*gC + 10*uC // the §5 worst-case impairment
+	// The §5 worst-case impairment, u per second over the 1 s round.
+	boundAdder := analysis.GranularityImpairment(gA, uA)
+	boundCounter := analysis.GranularityImpairment(gC, uC)
 	r.Table.AddRow("adder (UTCSU)", metrics.Us(gA), metrics.Us(uA), metrics.Us(boundAdder), metrics.Us(pAdder))
 	r.Table.AddRow("counter (CSU-class)", metrics.Us(gC), metrics.Us(uC), metrics.Us(boundCounter), metrics.Us(pCounter))
 	r.Numbers["prec_adder"] = pAdder

@@ -1,8 +1,8 @@
 // Grid construction: the standard sweep axes of the evaluation
 // (cluster size, round period, background load, oscillator frequency,
 // fault-tolerance degree, GPS fault scenarios) and a cartesian-product
-// combinator. cmd/ntisweep exposes single axes; cmd/nticampaign crosses
-// them into full matrices.
+// combinator. cmd/nticampaign runs single axes as its sweep-<axis>
+// presets and crosses them into full matrices.
 
 package harness
 

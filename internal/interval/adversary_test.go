@@ -14,7 +14,7 @@ import (
 // receiver view), or barely-overlapping — and the properties under test
 // are (a) the fused interval still contains true time whenever at least
 // n−f inputs do, and (b) the zero-alloc Fuser stays bit-identical to
-// the reference package functions on exactly these hostile inputs.
+// the reference functions (reference_test.go) on exactly these hostile inputs.
 
 // mkHonest builds an interval containing T with randomized asymmetric
 // bounds and a randomized reference point inside them.
@@ -81,7 +81,7 @@ func TestFusionContainsTrueTimeUnderByzantineInputs(t *testing.T) {
 }
 
 // TestFuserMatchesReferenceOnAdversarialInputs pins the Fuser to the
-// allocation-per-call package functions bit-for-bit on hostile inputs —
+// allocation-per-call reference functions bit-for-bit on hostile inputs —
 // edge ties, barely-touching intervals, and lies engineered near the
 // capture band, where a comparator or tie-rule divergence would show.
 func TestFuserMatchesReferenceOnAdversarialInputs(t *testing.T) {

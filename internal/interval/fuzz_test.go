@@ -50,7 +50,7 @@ func decodeFusionCase(data []byte) fusionCase {
 }
 
 // FuzzFuserMatchesReference is the fusion oracle. Every Fuser method
-// must equal its allocation-per-call package reference bit for bit
+// must equal its allocation-per-call reference (reference_test.go) bit for bit
 // (ok included), and with at most degradeF(n, f) liars among n inputs
 // both Marzullo and OrthogonalAccuracy must succeed and contain t0 —
 // the containment theorem of fault-tolerant intersection. The seed

@@ -11,6 +11,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"ntisim/internal/quantile"
 )
 
 // Series accumulates scalar samples.
@@ -116,7 +118,7 @@ func (s *Series) Stddev() float64 {
 func (s *Series) Range() float64 { return s.Max() - s.Min() }
 
 // Percentile returns the p-quantile (0 <= p <= 1) by nearest-rank on
-// the sorted samples: index round(p·(n−1)). The empty series returns
+// the sorted samples (quantile.Rank). The empty series returns
 // 0, a single sample is every quantile of itself, and p outside [0,1]
 // clamps to the extreme samples rather than erroring.
 func (s *Series) Percentile(p float64) float64 {
@@ -125,14 +127,7 @@ func (s *Series) Percentile(p float64) float64 {
 		return 0
 	}
 	s.sortNow()
-	i := int(p*float64(n-1) + 0.5)
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return s.vals[i]
+	return s.vals[quantile.Rank(p, n)]
 }
 
 // SeriesStats is a serializable summary of a Series. All values are in

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 
+	"ntisim/internal/quantile"
 	"ntisim/internal/sim"
 	"ntisim/internal/telemetry"
 	"ntisim/internal/trace"
@@ -130,7 +131,7 @@ func mustArrival(name string) string {
 type Generator struct {
 	s      *sim.Simulator
 	rng    *sim.RNG
-	sk     *Sketch
+	sk     *quantile.Sketch
 	sample func() float64
 	tr     *trace.Tracer
 	node   int
@@ -148,7 +149,7 @@ type Generator struct {
 	ticker  *sim.Ticker
 
 	tmQueries *telemetry.Counter
-	tmBurst   *telemetry.Histogram
+	tmBurst   *quantile.Sketch
 }
 
 // New builds a generator serving qps mean queries per sim-second on s.
@@ -162,7 +163,7 @@ func New(s *sim.Simulator, cfg Config, node int, seed uint64, qps float64, sampl
 	g := &Generator{
 		s:         s,
 		rng:       sim.NewRNG(seed),
-		sk:        NewSketch(),
+		sk:        quantile.New(),
 		sample:    sample,
 		tr:        s.Tracer(),
 		node:      node,
@@ -235,7 +236,7 @@ func (g *Generator) step() {
 	g.sk.AddN(err, n)
 	g.queries += n
 	g.tmQueries.Add(n)
-	g.tmBurst.Observe(float64(n))
+	g.tmBurst.Add(float64(n))
 	if g.tr != nil {
 		g.tr.Emit(trace.KindQueryServed, now, g.node, 0, n, 0, err)
 	}
@@ -245,7 +246,7 @@ func (g *Generator) step() {
 func (g *Generator) Queries() uint64 { return g.queries }
 
 // Sketch returns the generator's error sketch (never nil).
-func (g *Generator) Sketch() *Sketch { return g.sk }
+func (g *Generator) Sketch() *quantile.Sketch { return g.sk }
 
 // Stats summarizes the served-query population over a measurement
 // window. All error figures are in seconds of absolute clock error as
@@ -273,12 +274,13 @@ type Stats struct {
 }
 
 // Collect merges the per-node generators into population-level stats
-// for a window of windowS sim-seconds. Merge order does not affect the
-// result (bin counts add exactly), so per-shard generator layouts
-// cannot perturb the reported figures.
+// for a window of windowS sim-seconds. The percentiles and the max do
+// not depend on merge order (bin counts add exactly); the mean is a
+// float sum that does, so gens must come in a fixed order (the
+// cluster passes them in member order).
 func Collect(gens []*Generator, clients int, windowS float64) Stats {
 	st := Stats{Clients: clients, Nodes: len(gens), WindowS: windowS}
-	merged := NewSketch()
+	merged := quantile.New()
 	for _, g := range gens {
 		merged.Merge(g.sk)
 		st.Queries += g.queries

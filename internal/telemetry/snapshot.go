@@ -1,12 +1,15 @@
 package telemetry
 
+import "ntisim/internal/quantile"
+
 // GaugeValue is a gauge's level and high-water mark at snapshot time.
 type GaugeValue struct {
 	V  float64 `json:"v"`
 	Hi float64 `json:"hi"`
 }
 
-// HistValue summarizes a histogram at snapshot time.
+// HistValue summarizes a histogram at snapshot time: exact n, min, mean
+// and max, sketch quantiles.
 type HistValue struct {
 	N    uint64  `json:"n"`
 	Min  float64 `json:"min"`
@@ -44,7 +47,7 @@ func Capture(t float64, regs ...*Registry) Snapshot {
 		Gauges:   map[string]GaugeValue{},
 		Hists:    map[string]HistValue{},
 	}
-	merged := map[string]*Histogram{}
+	merged := map[string]*quantile.Sketch{}
 	for _, r := range regs {
 		if r == nil {
 			continue
@@ -63,14 +66,14 @@ func Capture(t float64, regs ...*Registry) Snapshot {
 		for _, name := range sortedKeys(r.hists) {
 			m := merged[name]
 			if m == nil {
-				m = newHistogram()
+				m = quantile.New()
 				merged[name] = m
 			}
-			m.merge(r.hists[name])
+			m.Merge(r.hists[name])
 		}
 	}
 	for name, h := range merged {
-		s.Hists[name] = h.stats()
+		s.Hists[name] = histValue(h)
 	}
 	if len(s.Counters) == 0 {
 		s.Counters = nil
@@ -82,4 +85,20 @@ func Capture(t float64, regs ...*Registry) Snapshot {
 		s.Hists = nil
 	}
 	return s
+}
+
+// histValue summarizes a histogram for a snapshot.
+func histValue(h *quantile.Sketch) HistValue {
+	if h.Count() == 0 {
+		return HistValue{}
+	}
+	return HistValue{
+		N:    h.Count(),
+		Min:  h.Min(),
+		Mean: h.Mean(),
+		P50:  h.Quantile(0.50),
+		P90:  h.Quantile(0.90),
+		P99:  h.Quantile(0.99),
+		Max:  h.Max(),
+	}
 }

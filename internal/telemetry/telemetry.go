@@ -6,7 +6,7 @@
 // Design rules, in the style of internal/trace:
 //
 //   - Disabled means free. Every handle method is nil-safe: a nil *Counter,
-//     *Gauge or *Histogram returns immediately, so instrumented code holds
+//     *Gauge or *quantile.Sketch returns immediately, so instrumented code holds
 //     plain handle fields and never branches on configuration. A cluster
 //     built without a Registry pays one predictable nil-check per update
 //     site and allocates nothing (pinned by test).
@@ -27,6 +27,8 @@ package telemetry
 import (
 	"sort"
 	"strconv"
+
+	"ntisim/internal/quantile"
 )
 
 // Counter is a monotonically increasing event count. Not thread-safe;
@@ -109,7 +111,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	fns      map[string]func() float64
-	hists    map[string]*Histogram
+	hists    map[string]*quantile.Sketch
 }
 
 // New returns an empty registry with no shard tag.
@@ -119,7 +121,7 @@ func New() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		fns:      make(map[string]func() float64),
-		hists:    make(map[string]*Histogram),
+		hists:    make(map[string]*quantile.Sketch),
 	}
 }
 
@@ -181,15 +183,16 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.fns[name] = fn
 }
 
-// Histogram returns the named histogram, creating it on first use. Returns
-// nil on a nil registry.
-func (r *Registry) Histogram(name string) *Histogram {
+// Histogram returns the named histogram, a quantile sketch (≈1% relative
+// quantile accuracy, exact n/min/mean/max), creating it on first use.
+// Returns nil on a nil registry.
+func (r *Registry) Histogram(name string) *quantile.Sketch {
 	if r == nil {
 		return nil
 	}
 	h := r.hists[name]
 	if h == nil {
-		h = newHistogram()
+		h = quantile.New()
 		r.hists[name] = h
 	}
 	return h

@@ -20,9 +20,9 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	c.Inc()
 	g.Set(1)
 	g.Add(2)
-	h.Observe(3)
-	h.ObserveN(4, 2)
-	if c.Value() != 0 || g.Value() != 0 || g.Hi() != 0 || h.N() != 0 {
+	h.Add(3)
+	h.AddN(4, 2)
+	if c.Value() != 0 || g.Value() != 0 || g.Hi() != 0 || h.Count() != 0 {
 		t.Fatalf("nil handles leaked state")
 	}
 	if r.Shard() != -1 {
@@ -55,7 +55,7 @@ func TestDisabledPathAllocFree(t *testing.T) {
 		c.Add(2)
 		g.Set(1.5)
 		g.Add(0.5)
-		h.Observe(1e-6)
+		h.Add(1e-6)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %v allocs/op", allocs)
@@ -72,7 +72,7 @@ func TestEnabledSteadyStateAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(2)
-		h.Observe(1e-3)
+		h.Add(1e-3)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled steady state allocates %v allocs/op", allocs)
@@ -110,9 +110,9 @@ func TestHistogramQuantiles(t *testing.T) {
 	h := r.Histogram("h")
 	// 1..10000 µs uniform: p50 ≈ 5000 µs, p99 ≈ 9900 µs.
 	for i := 1; i <= 10000; i++ {
-		h.Observe(float64(i) * 1e-6)
+		h.Add(float64(i) * 1e-6)
 	}
-	st := h.stats()
+	st := histValue(h)
 	if st.N != 10000 {
 		t.Fatalf("n = %d", st.N)
 	}
@@ -133,11 +133,11 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestHistogramEdges(t *testing.T) {
 	r := New()
 	h := r.Histogram("h")
-	h.Observe(0)
-	h.Observe(-1)
-	h.Observe(1e300) // overflow bin
-	h.ObserveN(2.5, 3)
-	st := h.stats()
+	h.Add(0)
+	h.Add(-1)
+	h.Add(1e300) // overflow bin
+	h.AddN(2.5, 3)
+	st := histValue(h)
 	if st.N != 6 {
 		t.Fatalf("n = %d, want 6", st.N)
 	}
@@ -148,7 +148,7 @@ func TestHistogramEdges(t *testing.T) {
 	if st.P50 < 2.3 || st.P50 > 2.7 {
 		t.Fatalf("p50 = %g, want ≈2.5", st.P50)
 	}
-	if (&Histogram{}).stats() != (HistValue{}) {
+	if histValue(nil) != (HistValue{}) {
 		t.Fatalf("empty histogram stats non-zero")
 	}
 }
@@ -163,8 +163,8 @@ func TestCaptureMerge(t *testing.T) {
 	b.Counter("ev").Add(32)
 	a.Gauge("depth").Set(5)
 	b.Gauge("depth").Set(7)
-	a.Histogram("lat").Observe(1e-3)
-	b.Histogram("lat").Observe(4e-3)
+	a.Histogram("lat").Add(1e-3)
+	b.Histogram("lat").Add(4e-3)
 	b.GaugeFunc("pool", func() float64 { return 99 })
 	s := Capture(12.5, a, b, nil)
 	if s.T != 12.5 {
@@ -199,7 +199,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 			r.Counter(n).Add(7)
 			r.Gauge("g." + n).Set(1)
 		}
-		r.Histogram("h").ObserveN(1e-3, 5)
+		r.Histogram("h").AddN(1e-3, 5)
 		b, err := json.Marshal(Capture(3, r))
 		if err != nil {
 			t.Fatal(err)
