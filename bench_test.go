@@ -164,12 +164,12 @@ func BenchmarkE13HardwareMeasured(b *testing.B) {
 // seconds of a synchronized n-node system per wall-clock second.
 //
 // The nodes-128/nodes-512 sub-benchmarks run the footnote-2
-// WANs-of-LANs topology (nodes-NNN-wolSS: SS segments on the
-// segment-sharded kernel); nodes-128-flat puts the same 128 nodes on
-// one LAN for comparison. The sharded speedup is algorithmic —
-// per-segment event heaps and O(receivers) frame delivery instead of
-// one global heap with O(stations) fan-out. See BENCH_kernel.json's
-// "sharded" section.
+// WANs-of-LANs topology (nodes-NNN-wolSS: SS segments, on one event
+// heap like every topology); nodes-128-flat puts the same 128 nodes on
+// one LAN for comparison. The multi-segment speedup comes from
+// O(receivers) frame delivery: a CSP fans out to its own segment, not
+// to all 128 nodes. See BENCH_kernel.json's "sharded" section and
+// DESIGN.md §8 for the heap-size effect.
 func BenchmarkClusterScaling(b *testing.B) {
 	for _, n := range []int{2, 4, 8, 16, 32} {
 		n := n

@@ -23,28 +23,6 @@ import (
 	"ntisim/internal/prof"
 )
 
-var runners = []struct {
-	id  string
-	fn  func(uint64) experiments.Result
-	des string
-}{
-	{"E1", experiments.E1Epsilon, "two-node transmission/reception uncertainty ε"},
-	{"E2", experiments.E2TimestampClasses, "timestamping classes: task vs ISR vs NTI"},
-	{"E3", experiments.E3GranularitySweep, "precision impairment 4G+10u vs fosc"},
-	{"E4", experiments.E4SixteenNode, "16-node prototype precision/accuracy"},
-	{"E5", experiments.E5GPSValidation, "clock validation vs naive GPS trust"},
-	{"E6", experiments.E6RateSync, "rate synchronization ablation"},
-	{"E7", experiments.E7WANvsLAN, "NTP over WAN vs NTI on LAN"},
-	{"E8", experiments.E8AdderVsCounter, "adder-based vs counter-based clock"},
-	{"E9", experiments.E9TimestampPath, "packet timestamping data path"},
-	{"E10", experiments.E10BackToBack, "Receive Header Base latch vs guessing"},
-	{"E11", experiments.E11WANOfLANs, "WANs-of-LANs gateway topology"},
-	{"E12", experiments.E12ByzantineNode, "actively faulty node tolerance"},
-	{"E13", experiments.E13HardwareMeasuredPrecision, "hardware-measured precision"},
-	{"E14", experiments.E14ConvergenceShootout, "convergence-function ablation"},
-	{"E15", experiments.E15ReceiverCensus, "long-term GPS receiver census"},
-}
-
 func main() {
 	seed := flag.Uint64("seed", 1998, "base random seed (runs are reproducible per seed)")
 	list := flag.Bool("list", false, "list experiments and exit")
@@ -55,8 +33,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, r := range runners {
-			fmt.Printf("%-4s %s\n", r.id, r.des)
+		for _, e := range experiments.Suite {
+			fmt.Printf("%-4s %s\n", e.ID, e.Desc)
 		}
 		return
 	}
@@ -67,8 +45,8 @@ func main() {
 	}
 
 	var selected []int
-	for i, r := range runners {
-		if len(want) > 0 && !want[r.id] {
+	for i, e := range experiments.Suite {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		selected = append(selected, i)
@@ -88,7 +66,7 @@ func main() {
 	// emitted order matches the suite order bit-for-bit.
 	results := make([]experiments.Result, len(selected))
 	harness.ForEach(*workers, len(selected), func(i int) {
-		results[i] = runners[selected[i]].fn(*seed)
+		results[i] = experiments.Suite[selected[i]].Run(*seed)
 	})
 
 	if err := stopProf(); err != nil {

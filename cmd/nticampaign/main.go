@@ -16,8 +16,8 @@
 //	nticampaign -preset smoke -seeds 3 -report report.md
 //	nticampaign -refine load=2e-6            # bisect load until mean
 //	                                         # precision crosses 2 µs
-//	nticampaign -preset sharded              # multi-segment cells on the
-//	                                         # segment-sharded kernel
+//	nticampaign -preset sharded              # WANs-of-LANs segments ×
+//	                                         # nodes grid
 //	nticampaign -preset smoke -telemetry -out artifacts/  # + runtime metric
 //	                                         # snapshots and health flags
 //	nticampaign -preset matrix -monitor :8080  # live status for cmd/ntitop
@@ -35,8 +35,7 @@
 // target is bracketed to -refine-tol; -refine-ci additionally demands
 // the bootstrap 95% CI across seeds clear the target before a bracket
 // moves, stopping (noise-limited) when seeds can't resolve it.
-// Multi-segment cells run one sub-simulator per LAN segment, executed
-// sequentially in conservative windows (internal/sim.Group); campaign
+// Every cell, flat or multi-segment, runs on one simulator; campaign
 // parallelism comes from -workers, across cells.
 package main
 
@@ -115,20 +114,20 @@ var presets = map[string]preset{
 		},
 	},
 	"sharded": {
-		desc: "WANs-of-LANs segments × nodes grid on the segment-sharded kernel (byte-identity gate)",
+		desc: "WANs-of-LANs segments × nodes grid (byte-identity gate)",
 		points: func() []harness.Point {
 			return harness.Cross(harness.SegmentsAxis(1, 2, 4), harness.NodesAxis(8, 16))
 		},
 		spec: func(s *harness.Spec) {
 			// F=1 keeps gateways per WAN link at F+1 = 2; seg=1 cells run
-			// the classic single-kernel path next to the sharded ones.
+			// the flat LAN next to the multi-segment ones.
 			s.Base.Sync.F = 1
 			s.WarmupS = 10
 			s.WindowS = 30
 		},
 	},
 	"serving": {
-		desc: "client-population load: clients × arrival process serving a 4-segment sharded topology (served-accuracy percentiles)",
+		desc: "client-population load: clients × arrival process serving a 4-segment WANs-of-LANs topology (served-accuracy percentiles)",
 		points: func() []harness.Point {
 			return harness.Cross(
 				harness.ClientsAxis(100000, 1000000),
@@ -302,7 +301,7 @@ func runRefine(w io.Writer, spec harness.Spec, arg string, tol float64, ci bool)
 
 	var r harness.Refinement
 	if ci {
-		r = harness.RefineCI(spec, ax, target, tol, nil, 0)
+		r = stats.RefineCI(spec, ax, target, tol, nil, 0)
 	} else {
 		r = harness.Refine(spec, ax, target, tol, nil)
 	}

@@ -112,18 +112,6 @@ func render(w *strings.Builder, st telemetry.CampaignStatus) {
 		for _, n := range names {
 			fmt.Fprintf(w, "  %-28s %d\n", n, s.Counters[n])
 		}
-		// Shard lag is the one gauge family worth a live view: a shard
-		// whose lag grows while others sit at zero is the straggler.
-		var lags []string
-		for n := range s.Gauges {
-			if strings.HasPrefix(n, "group.shard_lag_s") {
-				lags = append(lags, n)
-			}
-		}
-		sort.Strings(lags)
-		for _, n := range lags {
-			fmt.Fprintf(w, "  %-28s %.6f (hi %.6f)\n", n, s.Gauges[n].V, s.Gauges[n].Hi)
-		}
 	}
 }
 

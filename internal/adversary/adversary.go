@@ -29,8 +29,8 @@
 // forged stamp is indistinguishable from a hardware-inserted one, just
 // as a real two-faced NTI would produce. Receive-side mutation keyed
 // on (seed, src, dst) keeps every lie a pure function of the config:
-// shard decomposition and worker count can never perturb adversarial
-// behavior, preserving the campaign byte-identity contract.
+// topology and worker count can never perturb adversarial behavior,
+// preserving the campaign byte-identity contract.
 package adversary
 
 import (
@@ -158,8 +158,8 @@ func (s *Spec) SourceFaults(source int, base []gps.Fault) []gps.Fault {
 }
 
 // Layer is the instantiated adversary of one cluster: the traitor cast
-// with their attack roles, and the per-shard lie accounting. One Layer
-// belongs to exactly one cluster.
+// with their attack roles, and the lie count. One Layer belongs to
+// exactly one cluster.
 type Layer struct {
 	spec  Spec
 	seed  uint64
@@ -169,29 +169,21 @@ type Layer struct {
 	// traitors lists the traitor node ids in ascending order.
 	traitors []int
 	mag      timefmt.Duration
-	// liesByShard counts delivered lies per shard; each element is
-	// written only by its shard's single-threaded simulator (the
-	// per-shard registry pattern) and summed at barriers.
-	liesByShard []uint64
+	lies     uint64 // delivered lies
 }
 
 // NewLayer casts the traitors for a cluster of `nodes` regular nodes
-// under the given seed, across `shards` sub-simulators (1 for
-// unsharded). Returns nil when the spec asks for nothing.
-func NewLayer(spec Spec, seed uint64, nodes, shards int) *Layer {
+// under the given seed. Returns nil when the spec asks for nothing.
+func NewLayer(spec Spec, seed uint64, nodes int) *Layer {
 	if !spec.Enabled() {
 		return nil
 	}
-	if shards < 1 {
-		shards = 1
-	}
 	l := &Layer{
-		spec:        spec,
-		seed:        seed,
-		nodes:       nodes,
-		roles:       make([]string, nodes),
-		mag:         timefmt.DurationFromSeconds(spec.MagnitudeS),
-		liesByShard: make([]uint64, shards),
+		spec:  spec,
+		seed:  seed,
+		nodes: nodes,
+		roles: make([]string, nodes),
+		mag:   timefmt.DurationFromSeconds(spec.MagnitudeS),
 	}
 	if spec.MagnitudeS == 0 {
 		l.mag = timefmt.DurationFromSeconds(500e-6)
@@ -205,8 +197,8 @@ func NewLayer(spec Spec, seed uint64, nodes, shards int) *Layer {
 	}
 	// Rank nodes by a per-node derived hash and turn the k lowest into
 	// traitors: an exact count whose membership is a pure function of
-	// (seed, node id) — re-segmenting or re-sharding the same node set
-	// never changes who lies.
+	// (seed, node id) — re-segmenting the same node set never changes
+	// who lies.
 	type ranked struct {
 		id   int
 		hash uint64
@@ -263,17 +255,12 @@ func (l *Layer) Traitors() []int {
 	return l.traitors
 }
 
-// LiesTold sums delivered lies over all shards. Call only at barriers
-// (between RunUntil windows), like telemetry capture.
+// LiesTold returns the number of delivered lies.
 func (l *Layer) LiesTold() uint64 {
 	if l == nil {
 		return 0
 	}
-	var n uint64
-	for _, v := range l.liesByShard {
-		n += v
-	}
-	return n
+	return l.lies
 }
 
 // pairBit is the deterministic per-(src, dst) coin: which face a
@@ -332,22 +319,22 @@ func (l *Layer) mutate(payload []byte, dst int, now float64) (out []byte, src in
 
 // WrapBus interposes the adversary between a member's network bus and
 // its COMCO: frames from traitorous senders are mutated per receiver at
-// delivery. dst is the receiving node's id, shard its sub-simulator
-// index and s that shard's simulator, whose tracer and registry record
-// the lies. Returns the bus unchanged when no node attacks.
-func (l *Layer) WrapBus(bus network.Bus, dst, shard int, s *sim.Simulator) network.Bus {
+// delivery. dst is the receiving node's id and s the simulator whose
+// tracer and registry record the lies. Returns the bus unchanged when
+// no node attacks.
+func (l *Layer) WrapBus(bus network.Bus, dst int, s *sim.Simulator) network.Bus {
 	if l == nil || len(l.traitors) == 0 {
 		return bus
 	}
 	return &wrappedBus{
-		inner: bus, l: l, dst: dst, shard: shard, s: s,
+		inner: bus, l: l, dst: dst, s: s,
 		tr: s.Tracer(), lies: s.Telemetry().Counter(MetricLiesTold),
 	}
 }
 
 // MetricLiesTold is the telemetry counter of delivered adversarial
-// mutations (registered per shard only on clusters with traitors, so
-// adversary-free snapshot streams are byte-identical to before).
+// mutations (registered only on clusters with traitors, so
+// adversary-free snapshot streams carry no adversary metric).
 const MetricLiesTold = "adv.lies_told"
 
 // wrappedBus delegates Send/Bitrate and interposes on Attach, so every
@@ -356,7 +343,6 @@ type wrappedBus struct {
 	inner network.Bus
 	l     *Layer
 	dst   int
-	shard int
 	s     *sim.Simulator
 	tr    *trace.Tracer
 	lies  *telemetry.Counter
@@ -382,7 +368,7 @@ func (ic *interceptor) FrameArrived(f network.Frame) {
 	b := ic.b
 	if out, src, delta, ok := b.l.mutate(f.Payload, b.dst, b.s.Now()); ok {
 		f.Payload = out
-		b.l.liesByShard[b.shard]++
+		b.l.lies++
 		b.lies.Inc()
 		if b.tr != nil {
 			b.tr.Emit(trace.KindLie, b.s.Now(), b.dst, 0, f.ID, uint64(src), delta)

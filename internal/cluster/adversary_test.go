@@ -23,7 +23,7 @@ func TestAdversaryLieTraceWiring(t *testing.T) {
 		t.Fatalf("TraitorCount = %d, want 1 (0.3 of 4)", got)
 	}
 	lies := 0
-	for _, r := range c.Trace().Records() {
+	for _, r := range cfg.Tracer.Records() {
 		if r.Kind != trace.KindLie {
 			continue
 		}

@@ -2,6 +2,12 @@
 // Fig. 2 architecture replicated N times on a shared medium — and
 // provides the measurement scaffolding used by the experiments: the
 // two-node ε setup of §4 and the 16-node prototype the paper announces.
+//
+// One builder, New, serves every topology, and every topology runs on
+// one sim.Simulator: a flat LAN is the Segments ≤ 1 case, and the
+// WANs-of-LANs topology of the paper's footnote 2 (wan.go) adds
+// gateway nodes whose WAN frames are scheduled WAN-delay later on the
+// same event heap. See DESIGN.md §8.
 package cluster
 
 import (
@@ -56,53 +62,40 @@ type Config struct {
 	// Adversary is the Byzantine attack specification (traitor nodes,
 	// wide-area GNSS schedules, multi-source reference counts); the
 	// zero value disables it entirely. Per-node roles derive from
-	// (Seed, node id), so shard decomposition never perturbs who lies.
+	// (Seed, node id), so segmentation never perturbs who lies.
 	Adversary adversary.Spec
 	// BackgroundLoad injects competing KI/NI-style traffic at this
 	// utilization (0..0.9).
 	BackgroundLoad float64
-	// Segments, when >= 2, makes New build the segment-sharded
-	// WANs-of-LANs topology (paper footnote 2) instead of a single
-	// LAN: Nodes is then the total regular-node count, split evenly
-	// across the segments (it must divide), with each segment's
-	// sub-simulator a shard of a conservatively synchronized
-	// sim.Group. See sharded.go and DESIGN.md §8.
+	// Segments, when >= 2, makes New build the WANs-of-LANs topology
+	// (paper footnote 2) instead of a single LAN: Nodes is then the
+	// total regular-node count, split evenly across the segments (it
+	// must divide), chained by WAN links. See wan.go and DESIGN.md §8.
 	Segments int
 	// GatewaysPerLink is the number of redundant gateway nodes on each
-	// inter-segment link of a sharded topology; 0 means Sync.F+1 (the
-	// minimum that survives an f-trimming convergence function).
+	// inter-segment link of a WANs-of-LANs topology; 0 means Sync.F+1
+	// (the minimum that survives an f-trimming convergence function).
 	GatewaysPerLink int
-	// WANDelayS is the one-way WAN propagation delay between adjacent
-	// segments of a sharded topology — and therefore the conservative
-	// lookahead of its sim.Group. 0 means DefaultWANDelayS.
-	WANDelayS float64
 	// Serving describes the simulated client population querying the
 	// cluster for time (internal/service): open-loop arrival streams
 	// aggregated per node, feeding served-accuracy sketches. The zero
 	// value (Clients == 0) disables serving entirely.
 	Serving service.Config
-	// Shards is read by nothing: a sharded topology always runs its
-	// segment shards sequentially. It remains only because the
-	// benchmark harness still sets it.
+	// Shards is read by nothing.
 	//
-	// Deprecated: no effect; shards always run sequentially.
+	// Deprecated: no effect; every topology runs on one simulator. It
+	// remains only because the benchmark harness still sets it.
 	Shards int
 	// Tracer, when non-nil, traces every layer of the cluster: New
 	// instruments the simulator with it before building anything on it,
 	// and each layer (media, WAN links, node kernels and COMCOs,
 	// synchronizers, GPS receivers, serving, adversary) reads it at
-	// construction. Sharded clusters give each shard's simulator a
-	// private tracer with the same options; Trace merges them. One
-	// Tracer belongs to exactly one cluster — like the simulator, it is
-	// single-threaded state.
+	// construction. One Tracer belongs to exactly one cluster — like
+	// the simulator, it is single-threaded state.
 	Tracer *trace.Tracer
 	// Telemetry, when non-nil, is the runtime metrics registry, attached
 	// the same way (kernel counters, bus gauges, sync histograms,
-	// serving counters). Sharded clusters create one private registry
-	// per shard (single-threaded, like per-shard tracers) and treat this
-	// one as the driver-level registry of the sim.Group;
-	// TelemetrySnapshot merges them. One Registry belongs to exactly one
-	// cluster.
+	// serving counters). One Registry belongs to exactly one cluster.
 	Telemetry *telemetry.Registry
 }
 
@@ -163,16 +156,16 @@ type Member struct {
 	// Segment is the LAN segment index in a WANs-of-LANs topology
 	// (-1 for gateway nodes); 0 for single-LAN clusters.
 	Segment int
-	// Shard is the sub-simulator the member executes on in a sharded
-	// topology (gateways are homed on their lower-numbered adjacent
-	// segment's shard); 0 for unsharded clusters.
-	Shard int
-	Osc   *oscillator.Oscillator
-	U     *utcsu.UTCSU
-	Node  *kernel.Node
-	Sync  *clocksync.Synchronizer
-	GPS   *clocksync.GPSAttachment
-	Rx    *gps.Receiver
+	// home is the segment whose medium the member's first channel sits
+	// on and whose RNG universe its streams derive from: its Segment,
+	// or the lower-numbered adjacent segment for a gateway.
+	home int
+	Osc  *oscillator.Oscillator
+	U    *utcsu.UTCSU
+	Node *kernel.Node
+	Sync *clocksync.Synchronizer
+	GPS  *clocksync.GPSAttachment
+	Rx   *gps.Receiver
 	// SrcGPS/SrcRx are the additional reference sources (GPU 1..) of a
 	// multi-source node (Adversary.Sources >= 2); the classic single
 	// receiver stays in GPS/Rx.
@@ -193,14 +186,14 @@ func (m *Member) OffsetAndBounds() (offset, loEdge, hiEdge float64) {
 
 // Cluster is the assembled system.
 type Cluster struct {
-	// Sim is the simulator of an unsharded cluster (and shard 0 of a
-	// sharded one). Code that advances time or reads the clock should
-	// use the RunUntil/Now/EventCount wrappers, which dispatch to the
-	// Group for sharded clusters.
+	// Sim is the cluster's one simulator: every segment, WAN link and
+	// member runs on its event heap.
 	Sim *sim.Simulator
-	// Group is the conservative windowed composition of the per-segment
-	// sub-simulators; nil for unsharded clusters.
-	Group *sim.Group
+	// Group is always nil.
+	//
+	// Deprecated: every topology runs on Sim. The field remains only
+	// because the benchmark harness still reads it.
+	Group *group
 	// Med is the (first) medium; Media lists all segments in a
 	// WANs-of-LANs topology.
 	Med     *network.Medium
@@ -210,9 +203,20 @@ type Cluster struct {
 	// regular node, in member order) when cfg.Serving enables a client
 	// population; empty otherwise. See serving.go.
 	ServingGens []*service.Generator
-	adv         *adversary.Layer // nil without an adversary spec
-	cfg         Config
+	// segSims are Sim's handles for each segment's RNG universe (just
+	// Sim on a flat LAN): one event heap, private random streams.
+	segSims []*sim.Simulator
+	adv     *adversary.Layer // nil without an adversary spec
+	cfg     Config
 }
+
+// group is the type of the deprecated Cluster.Group field.
+type group struct{}
+
+// Workers always returns 1.
+//
+// Deprecated: see Cluster.Group.
+func (*group) Workers() int { return 1 }
 
 // Traitor reports whether member index i is an adversarial node
 // (always false on clusters without an adversary).
@@ -222,58 +226,71 @@ func (c *Cluster) Traitor(i int) bool { return c.adv.Traitor(i) }
 func (c *Cluster) TraitorCount() int { return len(c.adv.Traitors()) }
 
 // AdversaryLies returns the total adversarial frame mutations delivered
-// so far. Call only between RunUntil calls (barrier state, like
-// telemetry).
+// so far.
 func (c *Cluster) AdversaryLies() uint64 { return c.adv.LiesTold() }
 
-// New builds the cluster. Synchronizers are created but not started;
-// call Start (optionally after MeasureDelay has refined the bounds).
-// A Config with Segments >= 2 builds the sharded WANs-of-LANs
-// topology (sharded.go); otherwise a single shared LAN.
+// New builds the cluster on one simulator. Synchronizers are created
+// but not started; call Start (optionally after MeasureDelay has
+// refined the bounds). A Config with Segments >= 2 builds the
+// WANs-of-LANs topology (wan.go); otherwise a single shared LAN.
+//
+// Every segment draws its random streams from a universe of its own,
+// sim.DeriveSeed(Seed, "shard/<i>") (the label is part of the
+// determinism contract), so no two segments' media, background load
+// or members share a stream; a flat LAN draws from Seed itself.
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 {
 		panic("cluster: need at least one node")
 	}
-	if cfg.Segments >= 2 {
-		return newSharded(cfg)
+	segs := max(cfg.Segments, 1)
+	if cfg.Nodes%segs != 0 {
+		panic(fmt.Sprintf("cluster: %d nodes do not divide evenly over %d segments", cfg.Nodes, segs))
 	}
 	if cfg.OscHz == 0 {
 		cfg.OscHz = 10e6
 	}
 	s := sim.New(cfg.Seed)
 	s.Instrument(cfg.Tracer, cfg.Telemetry)
-	med := network.NewMedium(s, cfg.Medium)
-	c := &Cluster{Sim: s, Med: med, Media: []*network.Medium{med}, cfg: cfg}
-	c.adv = adversary.NewLayer(cfg.Adversary, cfg.Seed, cfg.Nodes, 1)
-	for i := 0; i < cfg.Nodes; i++ {
-		c.addMember(0, "node", 0, med)
+	c := &Cluster{Sim: s, segSims: []*sim.Simulator{s}, cfg: cfg}
+	if segs >= 2 {
+		c.segSims = make([]*sim.Simulator, segs)
+		for i := range c.segSims {
+			c.segSims[i] = s.WithSeed(sim.DeriveSeed(cfg.Seed, fmt.Sprintf("shard/%d", i)))
+		}
 	}
+	for _, ss := range c.segSims {
+		c.Media = append(c.Media, network.NewMedium(ss, cfg.Medium))
+	}
+	c.Med = c.Media[0]
+	c.adv = adversary.NewLayer(cfg.Adversary, cfg.Seed, cfg.Nodes)
+	for seg := range c.Media {
+		for i := 0; i < cfg.Nodes/segs; i++ {
+			c.addMember(seg, seg)
+		}
+	}
+	c.linkSegments()
 	if cfg.BackgroundLoad > 0 {
-		med.StartBackgroundLoad(cfg.BackgroundLoad, 400)
+		for _, med := range c.Media {
+			med.StartBackgroundLoad(cfg.BackgroundLoad, 400)
+		}
 	}
 	c.attachServing()
 	return c
 }
 
-// shardSim returns the simulator of shard i: the cluster's own
-// simulator on a flat LAN.
-func (c *Cluster) shardSim(i int) *sim.Simulator {
-	if c.Group == nil {
-		return c.Sim
-	}
-	return c.Group.Shard(i)
-}
-
-// addMember builds the next member (index len(c.Members)) on shard,
-// attached to bus, and appends it. Every layer reads its tracer and
-// registry from the shard's simulator. The oscillator and GNSS labels
-// prefix+index seed the node's RNG streams, so they are part of the
-// determinism contract.
-func (c *Cluster) addMember(shard int, prefix string, segment int, bus network.Bus) *Member {
+// addMember builds the next member (index len(c.Members)) in segment
+// (-1 for a gateway), homed on segment home: attached to its medium
+// and drawing from its RNG universe. The oscillator and GNSS labels
+// ("node<index>" on a flat LAN, "wol<index>" across segments) seed the
+// node's streams, so they are part of the determinism contract.
+func (c *Cluster) addMember(home, segment int) *Member {
 	cfg := &c.cfg
-	s := c.shardSim(shard)
+	s := c.segSims[home]
 	id := len(c.Members)
-	label := fmt.Sprintf("%s%d", prefix, id)
+	label := fmt.Sprintf("node%d", id)
+	if len(c.segSims) >= 2 {
+		label = fmt.Sprintf("wol%d", id)
+	}
 	oc := oscillator.TCXO(cfg.OscHz)
 	if cfg.OscillatorFor != nil {
 		oc = cfg.OscillatorFor(id)
@@ -281,12 +298,11 @@ func (c *Cluster) addMember(shard int, prefix string, segment int, bus network.B
 	osc := oscillator.New(s, oc, label)
 	u := utcsu.New(s, utcsu.Config{Osc: osc})
 	// The adversary sits between the medium and the node's COMCO
-	// (identity when nobody attacks): lies are applied at delivery on
-	// the receiver's shard, so the decomposition never changes what any
-	// node hears.
-	bus = c.adv.WrapBus(bus, id, shard, s)
+	// (identity when nobody attacks): lies are applied per receiver at
+	// delivery.
+	bus := c.adv.WrapBus(c.Media[home], id, s)
 	node := kernel.NewNode(s, uint16(id), u, bus, cfg.Kernel, cfg.COMCO)
-	m := &Member{Index: id, Segment: segment, Shard: shard, Osc: osc, U: u, Node: node}
+	m := &Member{Index: id, Segment: segment, home: home, Osc: osc, U: u, Node: node}
 	var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: u}
 	if cfg.ClockFactory != nil {
 		clk = cfg.ClockFactory(u)
@@ -305,7 +321,7 @@ func (c *Cluster) addMember(shard int, prefix string, segment int, bus network.B
 // the UTCSU's spare stamp units. Each source gets the wide-area GNSS
 // attack schedule lowered into its fault list (a no-op without one),
 // and each extra receiver derives its noise stream from its own label,
-// so source streams are mutually independent and shard-invariant.
+// so source streams are mutually independent.
 func attachReferences(s *sim.Simulator, m *Member, gc gps.Config, label string, cfg *Config) {
 	rho := cfg.Sync.RhoPPB
 	if rho == 0 {
@@ -338,69 +354,24 @@ func attachReferences(s *sim.Simulator, m *Member, gc gps.Config, label string, 
 	}
 }
 
-// Start launches every synchronizer at the given simulated time. In a
-// sharded cluster each shard gets its own start event covering the
-// members homed on it.
+// Start launches every synchronizer at the given simulated time.
 func (c *Cluster) Start(at float64) {
-	if c.Group == nil {
-		c.Sim.At(at, func() {
-			for _, m := range c.Members {
-				m.Sync.Start()
-			}
-		})
-		return
-	}
-	for i := 0; i < c.Group.Shards(); i++ {
-		shard := i
-		c.Group.Shard(shard).At(at, func() {
-			for _, m := range c.Members {
-				if m.Shard == shard {
-					m.Sync.Start()
-				}
-			}
-		})
-	}
+	c.Sim.At(at, func() {
+		for _, m := range c.Members {
+			m.Sync.Start()
+		}
+	})
 }
 
-// RunUntil advances the simulation (every shard, for sharded
-// clusters) to the horizon and returns the reached time.
-func (c *Cluster) RunUntil(horizon float64) float64 {
-	if c.Group != nil {
-		return c.Group.RunUntil(horizon)
-	}
-	return c.Sim.RunUntil(horizon)
-}
+// RunUntil advances the simulation to the horizon and returns the
+// reached time.
+func (c *Cluster) RunUntil(horizon float64) float64 { return c.Sim.RunUntil(horizon) }
 
 // Now returns the current simulated time.
-func (c *Cluster) Now() float64 {
-	if c.Group != nil {
-		return c.Group.Now()
-	}
-	return c.Sim.Now()
-}
+func (c *Cluster) Now() float64 { return c.Sim.Now() }
 
-// EventCount returns events fired so far, summed over shards.
-func (c *Cluster) EventCount() uint64 {
-	if c.Group != nil {
-		return c.Group.EventCount()
-	}
-	return c.Sim.EventCount()
-}
-
-// Trace returns the cluster's event trace: the configured tracer for
-// unsharded clusters, or the per-shard tracers merged into canonical
-// (time, shard, sequence) order for sharded ones. Nil when tracing is
-// off.
-func (c *Cluster) Trace() *trace.Tracer {
-	if c.Group == nil || c.cfg.Tracer == nil {
-		return c.cfg.Tracer
-	}
-	trs := make([]*trace.Tracer, c.Group.Shards())
-	for i := range trs {
-		trs[i] = c.Group.Shard(i).Tracer()
-	}
-	return trace.MergeShards(trs)
-}
+// EventCount returns events fired so far.
+func (c *Cluster) EventCount() uint64 { return c.Sim.EventCount() }
 
 // Snapshot samples all clocks simultaneously.
 func (c *Cluster) Snapshot() metrics.ClusterSample {
@@ -411,21 +382,14 @@ func (c *Cluster) Snapshot() metrics.ClusterSample {
 	return metrics.Sample(c.Now(), nodes)
 }
 
-// TelemetrySnapshot merges the cluster's registries (the configured one
-// plus, when sharded, the per-shard registries) into one sim-time
+// TelemetrySnapshot captures the cluster's registry into a sim-time
 // Snapshot. ok is false when the cluster was built without telemetry.
-// Call only between RunUntil calls — registries are barrier state.
+// Call only between RunUntil calls.
 func (c *Cluster) TelemetrySnapshot() (telemetry.Snapshot, bool) {
 	if c.cfg.Telemetry == nil {
 		return telemetry.Snapshot{}, false
 	}
-	regs := []*telemetry.Registry{c.cfg.Telemetry}
-	if c.Group != nil {
-		for i := 0; i < c.Group.Shards(); i++ {
-			regs = append(regs, c.Group.Shard(i).Telemetry())
-		}
-	}
-	return telemetry.Capture(c.Now(), regs...), true
+	return telemetry.Capture(c.Now(), c.cfg.Telemetry), true
 }
 
 // RunSampled advances the simulation to `until`, sampling the cluster
@@ -443,8 +407,8 @@ func (c *Cluster) RunSampled(from, until, every float64) []metrics.ClusterSample
 // returns the bounds (completing the simulation work synchronously).
 // Call before Start.
 func (c *Cluster) MeasureDelay(a, b, probes int) clocksync.DelayBounds {
-	if c.Group != nil && c.Members[a].Shard != c.Members[b].Shard {
-		panic("cluster: MeasureDelay probes cannot cross shards (RTT unicast is segment-local)")
+	if c.Members[a].home != c.Members[b].home {
+		panic("cluster: MeasureDelay probes cannot cross segments (RTT unicast is segment-local)")
 	}
 	c.Members[b].Node.EnableRTTResponder()
 	var res clocksync.DelayBounds

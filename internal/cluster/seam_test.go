@@ -14,7 +14,7 @@ import (
 // every optional layer attached — multi-source GPS under a GNSS outage,
 // traitors, serving clients and background load — on a tracer that
 // records dispatches and DMA words and a telemetry registry. Each layer
-// reads its instruments from its shard's simulator at construction, so
+// reads its instruments from the simulator at construction, so
 // a layer that lost them would show up here as a silent counter or a
 // missing record kind.
 func TestInstrumentSeamReachesEveryLayer(t *testing.T) {
@@ -52,7 +52,6 @@ func TestInstrumentSeamReachesEveryLayer(t *testing.T) {
 		{"clocksync", "sync.rounds"},
 		{"service", "svc.queries"},
 		{"adversary", adversary.MetricLiesTold},
-		{"sim.Group", "group.windows"},
 	} {
 		if snap.Counters[counter.name] == 0 {
 			t.Errorf("%s: counter %s is zero", counter.layer, counter.name)
@@ -62,7 +61,7 @@ func TestInstrumentSeamReachesEveryLayer(t *testing.T) {
 	kinds := map[trace.Kind]int{}
 	onsets := map[int32]int{}
 	gatewayWAN := 0 // COMCO records on a gateway's AttachSegment channel
-	for _, r := range c.Trace().Records() {
+	for _, r := range cfg.Tracer.Records() {
 		kinds[r.Kind]++
 		switch {
 		case r.Kind == trace.KindFaultOnset:
@@ -88,7 +87,7 @@ func TestInstrumentSeamReachesEveryLayer(t *testing.T) {
 		{"adversary", trace.KindLie},
 	} {
 		if kinds[k.kind] == 0 {
-			t.Errorf("%s: no %s record in the merged trace", k.layer, k.kind)
+			t.Errorf("%s: no %s record in the trace", k.layer, k.kind)
 		}
 	}
 	// Every reference source of every GPS node enters the outage, and

@@ -1,9 +1,7 @@
 // Serving wiring: attaching the internal/service client population to
 // a built cluster. Every regular node (Segment >= 0; gateways carry
 // WAN traffic, not client-facing service) gets one aggregate arrival
-// generator homed on the node's own shard simulator, so serving needs
-// no cross-shard coordination — the generators only read their own
-// node's UTCSU.
+// generator that reads only its own node's UTCSU.
 package cluster
 
 import (
@@ -18,8 +16,8 @@ import (
 // cfg.Serving. Segment weights follow RegionalSkew (weight of segment s
 // ∝ skew^s, normalized), split evenly over the segment's serving
 // nodes. Generator RNG streams derive from (Seed, node index) only —
-// never from a shard's RNG universe — so a node's arrivals depend only
-// on its seed and its rate, never on the shard it runs on.
+// never from a segment's RNG universe — so a node's arrivals depend
+// only on its seed and its rate, never on the topology.
 func (c *Cluster) attachServing() {
 	sc := c.cfg.Serving
 	if sc.Clients <= 0 {
@@ -68,7 +66,7 @@ func (c *Cluster) attachServing() {
 }
 
 // StartServing launches every client-load generator at the given
-// simulated time (>= the current time of every shard). It is a no-op
+// simulated time (>= the current time). It is a no-op
 // when the config carries no client population.
 func (c *Cluster) StartServing(at float64) {
 	for _, g := range c.ServingGens {

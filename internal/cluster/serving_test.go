@@ -8,7 +8,7 @@ import (
 	"ntisim/internal/service"
 )
 
-// servingConfig is a small sharded topology with a client population,
+// servingConfig is a small 2-segment topology with a client population,
 // big enough to exercise regional skew and gateway exclusion.
 func servingConfig(seed uint64) Config {
 	cfg := Defaults(4, seed)
@@ -36,8 +36,8 @@ func runServing(t *testing.T, cfg Config, windowS float64) (service.Stats, *Clus
 
 // TestServingShardCountInvariance: arrival streams are a pure function
 // of (seed, node), so the same four nodes serve exactly the same query
-// counts whether they form one flat LAN or two sharded segments. The
-// sharded run also keeps its nominal mean rate and ordered percentiles.
+// counts whether they form one flat LAN or two segments. The segmented
+// run also keeps its nominal mean rate and ordered percentiles.
 func TestServingShardCountInvariance(t *testing.T) {
 	uniform := func(segments int) Config {
 		cfg := servingConfig(99)
@@ -46,14 +46,14 @@ func TestServingShardCountInvariance(t *testing.T) {
 		return cfg
 	}
 	_, flat := runServing(t, uniform(1), 5)
-	st, sharded := runServing(t, uniform(2), 5)
+	st, segmented := runServing(t, uniform(2), 5)
 	if st.Queries == 0 {
 		t.Fatal("no queries served")
 	}
-	if len(flat.ServingGens) != len(sharded.ServingGens) {
-		t.Fatalf("generators: flat %d, sharded %d", len(flat.ServingGens), len(sharded.ServingGens))
+	if len(flat.ServingGens) != len(segmented.ServingGens) {
+		t.Fatalf("generators: flat %d, segmented %d", len(flat.ServingGens), len(segmented.ServingGens))
 	}
-	for i, g := range sharded.ServingGens {
+	for i, g := range segmented.ServingGens {
 		if a, b := flat.ServingGens[i].Queries(), g.Queries(); a != b {
 			t.Errorf("node %d: %d queries on one LAN, %d on two segments", i, a, b)
 		}
@@ -122,31 +122,31 @@ func TestServingUnshardedMeanRate(t *testing.T) {
 }
 
 // MeasureDelay RTT probes are segment-local unicast; the guard must
-// reject probe pairs homed on different shards. Three segments give a
+// reject probe pairs homed on different segments. Three segments give a
 // pair (first and last node) separated by two WAN hops.
 func TestMeasureDelayCrossShardGuardThreeSegments(t *testing.T) {
 	cfg := Defaults(6, 21)
 	cfg.Segments = 3
 	cfg.Sync.F = 0
 	c := New(cfg)
-	if a, b := c.Members[0], c.Members[5]; a.Shard == b.Shard {
-		t.Fatalf("test expects members 0 and 5 on different shards, got %d and %d", a.Shard, b.Shard)
+	if a, b := c.Members[0], c.Members[5]; a.home == b.home {
+		t.Fatalf("test expects members 0 and 5 on different segments, got %d and %d", a.home, b.home)
 	}
 	func() {
 		defer func() {
 			p := recover()
 			if p == nil {
-				t.Error("cross-shard MeasureDelay did not panic")
+				t.Error("cross-segment MeasureDelay did not panic")
 				return
 			}
-			if !strings.Contains(p.(string), "cross shards") {
-				t.Errorf("panic = %v, want cross-shards guard message", p)
+			if !strings.Contains(p.(string), "cross segments") {
+				t.Errorf("panic = %v, want cross-segments guard message", p)
 			}
 		}()
 		c.MeasureDelay(0, 5, 4)
 	}()
 	// Same-segment probes must still work after the refused call.
 	if b := c.MeasureDelay(0, 1, 4); b.Samples == 0 {
-		t.Errorf("same-shard MeasureDelay returned empty bounds: %+v", b)
+		t.Errorf("same-segment MeasureDelay returned empty bounds: %+v", b)
 	}
 }

@@ -1,13 +1,18 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"ntisim/internal/metrics"
+	"ntisim/internal/network"
 )
 
-// shardedBase is the reference sharded topology of these tests:
+// shardedBase is the reference multi-segment topology of these tests:
 // 2 segments × 4 nodes + F+1 = 2 gateways on the link.
 func shardedBase(seed uint64) Config {
 	cfg := Defaults(8, seed)
@@ -16,11 +21,11 @@ func shardedBase(seed uint64) Config {
 	return cfg
 }
 
-// TestShardedTopologyShape checks segment, gateway and shard placement
-// over chains of 2 and 3 segments with default and explicit gateway
-// counts: regular nodes first, segment by segment, then GatewaysPerLink
+// TestShardedTopologyShape checks segment and gateway placement over
+// chains of 2 and 3 segments with default and explicit gateway counts:
+// regular nodes first, segment by segment, then GatewaysPerLink
 // gateways per link in link order, each gateway homed on its lower
-// adjacent segment's shard with one channel on each side.
+// adjacent segment with one channel on each side.
 func TestShardedTopologyShape(t *testing.T) {
 	for _, tc := range []struct {
 		name                 string
@@ -37,12 +42,6 @@ func TestShardedTopologyShape(t *testing.T) {
 			cfg.Segments = tc.segments
 			cfg.GatewaysPerLink = tc.gpl
 			c := New(cfg)
-			if c.Group == nil {
-				t.Fatal("sharded cluster has no Group")
-			}
-			if got := c.Group.Shards(); got != tc.segments {
-				t.Fatalf("shards = %d, want %d", got, tc.segments)
-			}
 			if len(c.Media) != tc.segments {
 				t.Fatalf("media = %d", len(c.Media))
 			}
@@ -60,8 +59,8 @@ func TestShardedTopologyShape(t *testing.T) {
 					if m.Node.Channels() != 2 {
 						t.Errorf("gateway %d has %d channels", m.Index, m.Node.Channels())
 					}
-					if m.Shard != link {
-						t.Errorf("gateway %d homed on shard %d, want %d (lower adjacent segment)", m.Index, m.Shard, link)
+					if m.home != link {
+						t.Errorf("gateway %d homed on segment %d, want %d (lower adjacent segment)", m.Index, m.home, link)
 					}
 					continue
 				}
@@ -71,8 +70,8 @@ func TestShardedTopologyShape(t *testing.T) {
 				if m.Node.Channels() != 1 {
 					t.Errorf("plain node %d has %d channels", m.Index, m.Node.Channels())
 				}
-				if m.Shard != m.Segment {
-					t.Errorf("node %d on shard %d, segment %d", m.Index, m.Shard, m.Segment)
+				if m.home != m.Segment {
+					t.Errorf("node %d homed on %d, segment %d", m.Index, m.home, m.Segment)
 				}
 			}
 		})
@@ -163,7 +162,7 @@ func runChain(c *Cluster, from, until float64) []float64 {
 // TestShardedThreeSegmentsParallel runs two copies of the same 3-segment
 // chain on two goroutines at once, as campaign workers do. Under the race
 // detector (make race runs this package with -race) it checks that
-// sharded clusters share no mutable state; it also checks that both
+// multi-segment clusters share no mutable state; it also checks that both
 // copies produce the same precision trajectory bit for bit and that the
 // chain converges globally.
 func TestShardedThreeSegmentsParallel(t *testing.T) {
@@ -195,5 +194,75 @@ func TestShardedThreeSegmentsParallel(t *testing.T) {
 	}
 	if global.Max() > 25e-6 {
 		t.Errorf("three-segment precision %v", global.Max())
+	}
+}
+
+// accessJitter sends a burst of frames onto each segment's medium of a
+// freshly built cluster and returns, per medium, the gaps between
+// consecutive acquisitions. Every frame after the first finds the
+// medium busy, so each gap is one frame time plus the interframe gap
+// plus one access-jitter draw from the medium's RNG stream.
+func accessJitter(c *Cluster) [][]float64 {
+	acquired := make([][]float64, len(c.Media))
+	for i, med := range c.Media {
+		for k := 0; k < 6; k++ {
+			med.Send(network.Frame{Src: network.BackgroundSrc, Dst: network.BackgroundDst, Payload: make([]byte, 64)},
+				func(at float64) { acquired[i] = append(acquired[i], at) })
+		}
+	}
+	c.RunUntil(c.Now() + 0.01)
+	gaps := make([][]float64, len(acquired))
+	for i, at := range acquired {
+		for k := 1; k < len(at); k++ {
+			gaps[i] = append(gaps[i], at[k]-at[k-1])
+		}
+	}
+	return gaps
+}
+
+// sampleDigest runs c for 30 s after a start at 1 s and hashes a
+// cluster sample taken every second.
+func sampleDigest(c *Cluster) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	c.Start(1)
+	for x := 2.0; x <= 30; x++ {
+		c.RunUntil(x)
+		cs := c.Snapshot()
+		for _, v := range append([]float64{cs.TrueTime, cs.Precision, cs.MaxAbsOffset}, cs.Offsets...) {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestSegmentsKeepPrivateStreamsOnOneHeap builds a 4-segment cluster
+// twice at one seed. Both builds must sample identically, and the four
+// segment media must draw different access-jitter sequences: all four
+// run on one simulator, so a medium that drew its stream from that
+// simulator's own root instead of its segment's universe would repeat
+// every other segment's jitter draw for draw.
+func TestSegmentsKeepPrivateStreamsOnOneHeap(t *testing.T) {
+	cfg := Defaults(8, 47)
+	cfg.Sync.F = 0
+	cfg.Segments = 4
+	a, b := New(cfg), New(cfg)
+	ja, jb := accessJitter(a), accessJitter(b)
+	for i := range ja {
+		if len(ja[i]) != 5 {
+			t.Fatalf("medium %d: %d contended acquisitions, want 5", i, len(ja[i]))
+		}
+		if !slices.Equal(ja[i], jb[i]) {
+			t.Fatalf("medium %d: jitter differs between builds at one seed: %v vs %v", i, ja[i], jb[i])
+		}
+		for k := 0; k < i; k++ {
+			if slices.Equal(ja[i], ja[k]) {
+				t.Errorf("media %d and %d drew the same access-jitter sequence %v", k, i, ja[i])
+			}
+		}
+	}
+	if da, db := sampleDigest(a), sampleDigest(b); da != db {
+		t.Fatalf("sample digests differ between builds at one seed: %x vs %x", da, db)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // provided that all gateway nodes are also equipped with the NTI". Two
 // LAN segments are chained by gateway nodes whose single UTCSU serves
 // a COMCO on each segment (two SSU pairs), so the segments' ensembles
-// couple through its interval clock. The cluster is the segment-sharded
-// topology of cluster.New: each segment runs on its own sub-simulator,
-// and gateway frames cross the WAN link with its propagation delay.
+// couple through its interval clock. The cluster is the WANs-of-LANs
+// topology of cluster.New: gateway frames cross the WAN link with its
+// propagation delay.
 func E11WANOfLANs(seed uint64) Result {
 	r := Result{
 		ID:         "E11",

@@ -65,23 +65,29 @@ func (r *Result) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// All runs every experiment with a common base seed.
-func All(seed uint64) []Result {
-	return []Result{
-		E1Epsilon(seed),
-		E2TimestampClasses(seed),
-		E3GranularitySweep(seed),
-		E4SixteenNode(seed),
-		E5GPSValidation(seed),
-		E6RateSync(seed),
-		E7WANvsLAN(seed),
-		E8AdderVsCounter(seed),
-		E9TimestampPath(seed),
-		E10BackToBack(seed),
-		E11WANOfLANs(seed),
-		E12ByzantineNode(seed),
-		E13HardwareMeasuredPrecision(seed),
-		E14ConvergenceShootout(seed),
-		E15ReceiverCensus(seed),
-	}
+// Experiment is one entry of the suite: its id, a one-line
+// description and the function that runs it from a base seed.
+type Experiment struct {
+	ID   string
+	Desc string
+	Run  func(seed uint64) Result
+}
+
+// Suite lists every experiment in suite order.
+var Suite = []Experiment{
+	{"E1", "two-node transmission/reception uncertainty ε", E1Epsilon},
+	{"E2", "timestamping classes: task vs ISR vs NTI", E2TimestampClasses},
+	{"E3", "precision impairment 4G+10u vs fosc", E3GranularitySweep},
+	{"E4", "16-node prototype precision/accuracy", E4SixteenNode},
+	{"E5", "clock validation vs naive GPS trust", E5GPSValidation},
+	{"E6", "rate synchronization ablation", E6RateSync},
+	{"E7", "NTP over WAN vs NTI on LAN", E7WANvsLAN},
+	{"E8", "adder-based vs counter-based clock", E8AdderVsCounter},
+	{"E9", "packet timestamping data path", E9TimestampPath},
+	{"E10", "Receive Header Base latch vs guessing", E10BackToBack},
+	{"E11", "WANs-of-LANs gateway topology", E11WANOfLANs},
+	{"E12", "actively faulty node tolerance", E12ByzantineNode},
+	{"E13", "hardware-measured precision", E13HardwareMeasuredPrecision},
+	{"E14", "convergence-function ablation", E14ConvergenceShootout},
+	{"E15", "long-term GPS receiver census", E15ReceiverCensus},
 }

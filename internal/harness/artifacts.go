@@ -99,7 +99,7 @@ func (c *Campaign) WriteCSV(w io.Writer) error {
 // combined JSONL: each line is a telemetry.Snapshot tagged with its
 // cell ID, in cell order. Snapshots are pure functions of (config,
 // seed, sim time), so for a fixed spec the bytes are identical at any
-// worker count — and, for sharded configs, at any shard-worker count.
+// worker count.
 func (c *Campaign) WriteTelemetryJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	type line struct {

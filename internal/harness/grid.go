@@ -39,8 +39,8 @@ func NodesAxis(ns ...int) Axis {
 	return ax
 }
 
-// SegmentsAxis sweeps the WANs-of-LANs segment count of the sharded
-// topology (1 = single LAN).
+// SegmentsAxis sweeps the WANs-of-LANs segment count (1 = single
+// LAN).
 func SegmentsAxis(segs ...int) Axis {
 	if len(segs) == 0 {
 		segs = []int{1, 2, 4, 8}

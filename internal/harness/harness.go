@@ -78,23 +78,21 @@ type Spec struct {
 	// Timeline keeps the per-sample timeline in each Result (heavier
 	// artifacts; used by fault studies that care about onset/recovery).
 	Timeline bool
-	// Trace attaches a cross-layer tracer to every cell's cluster and
-	// keeps it in Result.Trace; WriteArtifacts then adds one
+	// Trace attaches a cross-layer tracer with default options
+	// (16384-record rings, no dispatch/DMA-word records) to every cell's
+	// cluster and keeps it in Result.Trace; WriteArtifacts then adds one
 	// <name>.cell-NNN.trace.jsonl per cell. Each cell owns its own
 	// Tracer, fed by its own single-threaded simulator, so traces are
 	// byte-deterministic regardless of worker count.
 	Trace bool
-	// TraceOpts tunes the per-cell tracers when Trace is set (zero value
-	// = defaults: 16384-record rings, no dispatch/DMA-word records).
-	TraceOpts trace.Options
 
 	// Telemetry attaches a runtime metrics registry to every cell's
 	// cluster (cluster.Config.Telemetry) and captures one
 	// telemetry.Snapshot per sampling tick into Result.Telemetry;
 	// WriteArtifacts then adds one combined <name>.telemetry.jsonl. Each
-	// cell owns its own registry, captured at shard barriers, so the
-	// snapshot stream is byte-deterministic regardless of worker or
-	// shard-worker count. Watchdog health rules run over the same
+	// cell owns its own registry, captured between RunUntil calls, so
+	// the snapshot stream is byte-deterministic regardless of worker
+	// count. Watchdog health rules run over the same
 	// snapshots and land in Result.Health.
 	Telemetry bool
 	// Watchdog tunes the health rules when Telemetry is set (zero value
@@ -363,11 +361,11 @@ func runCell(sp *Spec, cell Cell) (res Result) {
 	}
 	cfg.Seed = cell.Seed
 	if sp.Trace {
-		res.Trace = trace.New(sp.TraceOpts)
+		res.Trace = trace.New(trace.Options{})
 		cfg.Tracer = res.Trace
 	}
 	// Each cell gets its own registry and watchdog — like the tracer,
-	// they are fed only from the cell's own simulator(s), so the
+	// they are fed only from the cell's own simulator, so the
 	// snapshot stream is deterministic at any worker count. The harness
 	// mirrors its containment verdicts into the registry so watchdog
 	// rules can key on them.
@@ -498,11 +496,6 @@ func runCell(sp *Spec, cell Cell) (res Result) {
 			SourcesRejected:  res.Sync.SourcesRejected,
 			HonestViolations: honestViolations,
 		}
-	}
-	if sp.Trace {
-		// Sharded clusters trace per shard; Trace() returns the merged
-		// canonical-order tracer (the configured one for unsharded).
-		res.Trace = c.Trace()
 	}
 	if wd != nil {
 		res.Health = wd.Flags()

@@ -260,11 +260,10 @@ func TestDisciplineAxisDeterminism(t *testing.T) {
 	}
 }
 
-// shardedSpec is a WANs-of-LANs campaign whose multi-segment cells run
-// the segment-sharded kernel: the base topology is 4 nodes over 2
-// segments (plus F+1 = 2 gateways), on `workers` campaign workers. The
-// segments axis also covers seg=1, so every run exercises the flat-LAN
-// path next to the sharded one.
+// shardedSpec is a WANs-of-LANs campaign: the base topology is 4 nodes
+// over 2 segments (plus F+1 = 2 gateways), on `workers` campaign
+// workers. The segments axis also covers seg=1, so every run exercises
+// the flat LAN next to the multi-segment topology.
 func shardedSpec(workers int) Spec {
 	base := cluster.Defaults(4, 1)
 	base.Sync.F = 1
@@ -284,9 +283,9 @@ func shardedSpec(workers int) Spec {
 }
 
 // TestShardedByteIdentityOverDisciplineGrid is the determinism gate for
-// sharded cells at campaign level: over the full discipline grid, a
-// sharded campaign produces byte-identical JSONL and per-cell
-// merged-trace artifacts on 1 and 4 campaign workers.
+// multi-segment cells at campaign level: over the full discipline grid,
+// the campaign produces byte-identical JSONL and per-cell trace
+// artifacts on 1 and 4 campaign workers.
 func TestShardedByteIdentityOverDisciplineGrid(t *testing.T) {
 	serial := Run(shardedSpec(1))
 	parallel := Run(shardedSpec(4))
@@ -312,12 +311,12 @@ func TestShardedByteIdentityOverDisciplineGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(x.Bytes(), y.Bytes()) {
-			t.Fatalf("cell %s: merged trace bytes differ between 1 and 4 campaign workers", r.Key())
+			t.Fatalf("cell %s: trace bytes differ between 1 and 4 campaign workers", r.Key())
 		}
 	}
 }
 
-// TestShardedCampaignRace runs sharded cells, up to a 3-segment gateway
+// TestShardedCampaignRace runs multi-segment cells, up to a 3-segment gateway
 // chain, concurrently on the harness worker pool and just demands clean
 // completion. Its real assertions come from the race detector (make ci
 // runs this package under -race): cells must share no mutable state.

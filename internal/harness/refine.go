@@ -8,13 +8,7 @@
 
 package harness
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"ntisim/internal/sim"
-)
+import "math"
 
 // NumericAxis is a continuously refinable sweep parameter: a point
 // factory over a scalar value plus the default search range.
@@ -52,7 +46,7 @@ type Evaluation struct {
 	Value  float64
 	Metric float64
 	// CILo/CIHi is the bootstrap 95% confidence interval of Metric
-	// across seeds. RefineCI steers by it; Refine collapses it to
+	// across seeds. stats.RefineCI steers by it; Refine collapses it to
 	// [Metric, Metric].
 	CILo, CIHi float64
 	Results    []Result
@@ -85,7 +79,7 @@ type Refinement struct {
 	// ≤ Tol (or no untried integer remains for an Integer axis).
 	Lo, Hi    Evaluation
 	Bracketed bool
-	// NoiseLimited is set by RefineCI when bisection stopped because an
+	// NoiseLimited is set by Bisect when bisection stopped because an
 	// evaluation's bootstrap CI straddled the target: the crossover is
 	// bracketed (if Bracketed) but cannot be narrowed further at this
 	// seed count — the fix is more seeds, not more midpoints.
@@ -113,65 +107,40 @@ func MeanPrecision(rs []Result) float64 {
 // Refine bisects ax over [ax.Lo, ax.Hi] until metric's crossover of
 // target is bracketed to tol (axis units). spec.Points is ignored:
 // each evaluation runs the axis point under every spec seed. A nil
-// metric means MeanPrecision.
+// metric means MeanPrecision. Each evaluation's CI collapses to its
+// point metric; stats.RefineCI is the variance-aware variant.
 func Refine(spec Spec, ax NumericAxis, target, tol float64, metric func([]Result) float64) Refinement {
 	if metric == nil {
 		metric = MeanPrecision
 	}
-	eval := func(v float64) Evaluation {
+	return Bisect(ax, target, tol, func(v float64) Evaluation {
 		sp := spec
 		sp.Points = []Point{ax.Point(v)}
 		c := Run(sp)
 		m := metric(c.Results)
 		return Evaluation{Value: v, Metric: m, CILo: m, CIHi: m, Results: c.Results}
-	}
-	return refineLoop(ax, target, tol, eval)
+	})
 }
 
-// DefaultResamples is RefineCI's bootstrap resample count when the
-// caller passes 0.
-const DefaultResamples = 1000
-
-// RefineCI is the variance-aware Refine: bisection decisions use the
-// bootstrap 95% confidence interval of the metric across seeds rather
-// than its point estimate. An evaluation only moves a bracket end when
-// its whole CI clears the target; when a CI straddles the target the
-// run stops with NoiseLimited set, because at that point another
+// Bisect is the bisection engine behind Refine and stats.RefineCI.
+// eval evaluates one axis value. An evaluation only moves a bracket
+// end when its whole CI clears the target; when a CI straddles the
+// target bisection stops with NoiseLimited set, because another
 // midpoint would be steering on noise — the honest next step is more
-// seeds, not a narrower bracket. With a single seed the CI collapses
-// to the mean and RefineCI degenerates to Refine.
-//
-// The bootstrap RNG is derived from Base.Seed, the axis name and the
-// axis value, never from wall clock, so refinement reports stay
-// byte-deterministic.
-func RefineCI(spec Spec, ax NumericAxis, target, tol float64, metric func([]Result) float64, resamples int) Refinement {
-	if metric == nil {
-		metric = MeanPrecision
-	}
-	if resamples <= 0 {
-		resamples = DefaultResamples
-	}
-	eval := func(v float64) Evaluation {
-		sp := spec
-		sp.Points = []Point{ax.Point(v)}
-		c := Run(sp)
-		e := Evaluation{Value: v, Metric: metric(c.Results), Results: c.Results}
-		rng := sim.NewRNG(sim.DeriveSeed(sp.Base.Seed,
-			fmt.Sprintf("refine-ci/%s/%x", ax.Name, math.Float64bits(v))))
-		e.CILo, e.CIHi = metricCI(c.Results, metric, resamples, rng)
-		return e
-	}
-	return refineLoopCI(ax, target, tol, eval)
-}
-
-// refineLoopCI is the CI-aware bisection engine behind RefineCI, split
-// out (like refineLoop) so tests can drive it with synthetic
-// evaluations carrying hand-built confidence intervals.
-func refineLoopCI(ax NumericAxis, target, tol float64, eval func(v float64) Evaluation) Refinement {
+// seeds, not a narrower bracket. A NaN metric (every cell errored)
+// cannot steer either: at a range end it leaves the range unbracketed,
+// at a midpoint it stops bisection, neither counting as noise. Bisect
+// assumes the metric is monotone over the range (either direction); a
+// non-monotone metric still terminates but may bracket an arbitrary
+// crossover.
+func Bisect(ax NumericAxis, target, tol float64, eval func(v float64) Evaluation) Refinement {
 	r := Refinement{Axis: ax.Name, Target: target, Tol: tol}
 	lo, hi := eval(ax.Lo), eval(ax.Hi)
 	r.Evals = append(r.Evals, lo, hi)
 	r.Lo, r.Hi = lo, hi
+	if math.IsNaN(lo.Metric) || math.IsNaN(hi.Metric) {
+		return r
+	}
 	loAbove, loOK := lo.Clears(target)
 	hiAbove, hiOK := hi.Clears(target)
 	if !loOK || !hiOK {
@@ -180,7 +149,7 @@ func refineLoopCI(ax NumericAxis, target, tol float64, eval func(v float64) Eval
 		r.NoiseLimited = true
 		return r
 	}
-	if loAbove == hiAbove || math.IsNaN(lo.Metric) || math.IsNaN(hi.Metric) {
+	if loAbove == hiAbove {
 		return r // no crossover inside the range
 	}
 	r.Bracketed = true
@@ -194,98 +163,15 @@ func refineLoopCI(ax NumericAxis, target, tol float64, eval func(v float64) Eval
 		}
 		m := eval(mv)
 		r.Evals = append(r.Evals, m)
+		if math.IsNaN(m.Metric) {
+			break
+		}
 		mAbove, mOK := m.Clears(target)
 		if !mOK {
 			r.NoiseLimited = true
 			break
 		}
 		if mAbove == loAbove {
-			lo = m
-		} else {
-			hi = m
-		}
-	}
-	r.Lo, r.Hi = lo, hi
-	return r
-}
-
-// metricCI bootstraps the 95% CI of the metric over per-seed
-// observations: each seed's cells form one observation (metric applied
-// to that seed's result slice), resampled with replacement. Mirrors
-// internal/stats' percentile bootstrap, reimplemented here because
-// stats imports harness and Go forbids the cycle.
-func metricCI(rs []Result, metric func([]Result) float64, resamples int, rng *sim.RNG) (lo, hi float64) {
-	// Group results by seed, preserving first-seen (seed-major grid)
-	// order so the observation vector is deterministic.
-	var seeds []uint64
-	bySeed := map[uint64][]Result{}
-	for _, r := range rs {
-		if _, seen := bySeed[r.Seed]; !seen {
-			seeds = append(seeds, r.Seed)
-		}
-		bySeed[r.Seed] = append(bySeed[r.Seed], r)
-	}
-	obs := make([]float64, 0, len(seeds))
-	for _, s := range seeds {
-		if v := metric(bySeed[s]); !math.IsNaN(v) {
-			obs = append(obs, v)
-		}
-	}
-	if len(obs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	if len(obs) == 1 {
-		return obs[0], obs[0]
-	}
-	n := len(obs)
-	means := make([]float64, resamples)
-	for b := range means {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += obs[rng.Intn(n)]
-		}
-		means[b] = sum / float64(n)
-	}
-	sort.Float64s(means)
-	rank := func(p float64) int {
-		i := int(p*float64(resamples-1) + 0.5)
-		if i < 0 {
-			i = 0
-		}
-		if i >= resamples {
-			i = resamples - 1
-		}
-		return i
-	}
-	return means[rank(0.025)], means[rank(0.975)]
-}
-
-// refineLoop is the pure bisection engine behind Refine, split out so
-// tests can drive it with a synthetic metric. It assumes the metric is
-// monotone over the range (either direction); a non-monotone metric
-// still terminates but may bracket an arbitrary crossover.
-func refineLoop(ax NumericAxis, target, tol float64, eval func(v float64) Evaluation) Refinement {
-	r := Refinement{Axis: ax.Name, Target: target, Tol: tol}
-	lo, hi := eval(ax.Lo), eval(ax.Hi)
-	r.Evals = append(r.Evals, lo, hi)
-	above := func(e Evaluation) bool { return e.Metric >= target }
-	if above(lo) == above(hi) || math.IsNaN(lo.Metric) || math.IsNaN(hi.Metric) {
-		// No crossover inside the range: report the ends, unbracketed.
-		r.Lo, r.Hi = lo, hi
-		return r
-	}
-	r.Bracketed = true
-	for hi.Value-lo.Value > tol {
-		mv := (lo.Value + hi.Value) / 2
-		if ax.Integer {
-			mv = math.Round(mv)
-			if mv == lo.Value || mv == hi.Value {
-				break
-			}
-		}
-		m := eval(mv)
-		r.Evals = append(r.Evals, m)
-		if above(m) == above(lo) {
 			lo = m
 		} else {
 			hi = m

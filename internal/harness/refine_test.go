@@ -5,10 +5,16 @@ import (
 	"testing"
 )
 
-// syntheticAxis drives refineLoop with a closed-form metric so the
+// syntheticAxis drives Bisect with a closed-form metric so the
 // bisection contract can be checked without running simulations.
 func syntheticAxis(lo, hi float64, integer bool) NumericAxis {
 	return NumericAxis{Name: "synthetic", Lo: lo, Hi: hi, Integer: integer}
+}
+
+// point is an evaluation whose CI collapses to its metric, as Refine
+// feeds Bisect.
+func point(v, m float64) Evaluation {
+	return Evaluation{Value: v, Metric: m, CILo: m, CIHi: m}
 }
 
 // TestRefineBracketsMonotoneCrossover: for a strictly monotone metric
@@ -20,10 +26,10 @@ func TestRefineBracketsMonotoneCrossover(t *testing.T) {
 	evals := 0
 	eval := func(v float64) Evaluation {
 		evals++
-		return Evaluation{Value: v, Metric: metric(v)}
+		return point(v, metric(v))
 	}
 	const target, tol, crossing = 1.5e-6, 1e-3, 0.5
-	r := refineLoop(syntheticAxis(0, 0.9, false), target, tol, eval)
+	r := Bisect(syntheticAxis(0, 0.9, false), target, tol, eval)
 	if !r.Bracketed {
 		t.Fatalf("crossover not bracketed: %+v", r)
 	}
@@ -48,9 +54,9 @@ func TestRefineBracketsMonotoneCrossover(t *testing.T) {
 // A decreasing metric must bracket just as well (sign-based bisection).
 func TestRefineDecreasingMetric(t *testing.T) {
 	eval := func(v float64) Evaluation {
-		return Evaluation{Value: v, Metric: 10 - v} // crosses 4 at v = 6
+		return point(v, 10-v) // crosses 4 at v = 6
 	}
-	r := refineLoop(syntheticAxis(0, 32, false), 4, 0.125, eval)
+	r := Bisect(syntheticAxis(0, 32, false), 4, 0.125, eval)
 	if !r.Bracketed || r.Lo.Value > 6 || r.Hi.Value < 6 {
 		t.Fatalf("decreasing metric not bracketed around 6: %+v", r)
 	}
@@ -62,8 +68,8 @@ func TestRefineDecreasingMetric(t *testing.T) {
 // TestRefineNoCrossover: when the target lies outside the metric range
 // the loop reports the unbracketed ends instead of looping.
 func TestRefineNoCrossover(t *testing.T) {
-	eval := func(v float64) Evaluation { return Evaluation{Value: v, Metric: v} }
-	r := refineLoop(syntheticAxis(0, 1, false), 5, 0.01, eval)
+	eval := func(v float64) Evaluation { return point(v, v) }
+	r := Bisect(syntheticAxis(0, 1, false), 5, 0.01, eval)
 	if r.Bracketed {
 		t.Fatal("target outside range must not bracket")
 	}
@@ -78,9 +84,9 @@ func TestRefineIntegerAxis(t *testing.T) {
 	var seen []float64
 	eval := func(v float64) Evaluation {
 		seen = append(seen, v)
-		return Evaluation{Value: v, Metric: v * v} // crosses 40 between 6 and 7
+		return point(v, v*v) // crosses 40 between 6 and 7
 	}
-	r := refineLoop(syntheticAxis(2, 32, true), 40, 1e-9, eval)
+	r := Bisect(syntheticAxis(2, 32, true), 40, 1e-9, eval)
 	if !r.Bracketed {
 		t.Fatal("integer crossover not bracketed")
 	}
@@ -103,7 +109,7 @@ func TestRefineCITightIntervalsBisectNormally(t *testing.T) {
 		m := 0.5e-6 + 2e-6*v // crosses 1.5e-6 at v = 0.5
 		return Evaluation{Value: v, Metric: m, CILo: m - 1e-12, CIHi: m + 1e-12}
 	}
-	r := refineLoopCI(syntheticAxis(0, 0.9, false), 1.5e-6, 1e-3, eval)
+	r := Bisect(syntheticAxis(0, 0.9, false), 1.5e-6, 1e-3, eval)
 	if !r.Bracketed || r.NoiseLimited {
 		t.Fatalf("tight-CI run: bracketed=%v noiseLimited=%v", r.Bracketed, r.NoiseLimited)
 	}
@@ -126,7 +132,7 @@ func TestRefineCIStopsWhenNoiseLimited(t *testing.T) {
 	}
 	// Ends: 0±0.2 < 0.5 and 1±0.2 > 0.5 both clear; midpoint 0.5±0.2
 	// straddles.
-	r := refineLoopCI(syntheticAxis(0, 1, false), 0.5, 1e-3, eval)
+	r := Bisect(syntheticAxis(0, 1, false), 0.5, 1e-3, eval)
 	if !r.Bracketed {
 		t.Fatal("ends cleared on opposite sides: crossover should be bracketed")
 	}
@@ -148,7 +154,7 @@ func TestRefineCIEndStraddles(t *testing.T) {
 	eval := func(v float64) Evaluation {
 		return Evaluation{Value: v, Metric: v, CILo: v - 0.3, CIHi: v + 0.3}
 	}
-	r := refineLoopCI(syntheticAxis(0, 1, false), 0.2, 1e-3, eval) // lo end 0±0.3 straddles 0.2
+	r := Bisect(syntheticAxis(0, 1, false), 0.2, 1e-3, eval) // lo end 0±0.3 straddles 0.2
 	if r.Bracketed {
 		t.Fatal("straddling end must not claim a bracket")
 	}
@@ -175,7 +181,7 @@ func TestRefineCIPartialTightenThenNoiseLimited(t *testing.T) {
 		}
 		return Evaluation{Value: v, Metric: v, CILo: v - hw, CIHi: v + hw}
 	}
-	r := refineLoopCI(syntheticAxis(0, 1, false), 0.3, 1e-3, eval)
+	r := Bisect(syntheticAxis(0, 1, false), 0.3, 1e-3, eval)
 	if !r.Bracketed || !r.NoiseLimited {
 		t.Fatalf("partial tighten: bracketed=%v noiseLimited=%v", r.Bracketed, r.NoiseLimited)
 	}
@@ -185,97 +191,6 @@ func TestRefineCIPartialTightenThenNoiseLimited(t *testing.T) {
 	}
 	if len(r.Evals) != 4 {
 		t.Errorf("evals = %d, want 4 (2 ends, 1 clean midpoint, 1 straddle)", len(r.Evals))
-	}
-}
-
-// TestRefineCIRealCampaignNoiseLimited drives the Run-backed wrapper
-// into the NoiseLimited stop with real simulations: the target is
-// placed between the two per-seed metric observations at the low range
-// end, so its 2-seed bootstrap CI must straddle it and the refinement
-// must stop at the ends.
-func TestRefineCIRealCampaignNoiseLimited(t *testing.T) {
-	spec := testSpec(4)
-	spec.Points = nil
-	spec.Seeds = []uint64{7, 8}
-	spec.WarmupS, spec.WindowS = 2, 4
-
-	ax := StandardNumericAxes()["load"]
-	ax.Lo, ax.Hi = 0, 0.4
-
-	// Probe the low end to learn its per-seed metrics.
-	probe := spec
-	probe.Points = []Point{ax.Point(ax.Lo)}
-	c := Run(probe)
-	perSeed := map[uint64]float64{}
-	for _, r := range c.Results {
-		if r.Err != "" {
-			t.Fatalf("probe cell %s errored: %s", r.Key(), r.Err)
-		}
-		perSeed[r.Seed] = MeanPrecision([]Result{r})
-	}
-	a, b := perSeed[7], perSeed[8]
-	if a == b {
-		t.Skip("per-seed metrics coincide; cannot place a straddling target")
-	}
-	target := (a + b) / 2
-
-	r := RefineCI(spec, ax, target, 0.05, nil, 500)
-	if !r.NoiseLimited {
-		t.Fatalf("target %g between per-seed observations %g/%g must be noise-limited: %+v",
-			target, a, b, r)
-	}
-	if r.Bracketed {
-		t.Error("straddling range end must not claim a bracket")
-	}
-	if len(r.Evals) != 2 {
-		t.Errorf("evals = %d, want just the 2 ends", len(r.Evals))
-	}
-	lo := r.Evals[0]
-	if above, ok := lo.Clears(target); ok {
-		t.Errorf("low end unexpectedly cleared the target (above=%v, CI [%g, %g])",
-			above, lo.CILo, lo.CIHi)
-	}
-}
-
-// TestRefineCIRealCampaign exercises the Run-backed variance-aware
-// wrapper: per-seed observations feed a deterministic bootstrap, so
-// the CI must contain the point metric and the whole refinement must
-// be byte-reproducible across re-runs.
-func TestRefineCIRealCampaign(t *testing.T) {
-	spec := testSpec(4)
-	spec.Points = nil
-	spec.Seeds = []uint64{7, 8, 9}
-	spec.WarmupS, spec.WindowS = 2, 4
-
-	ax := StandardNumericAxes()["load"]
-	ax.Lo, ax.Hi = 0, 0.4
-	run := func() Refinement {
-		// Huge target: only the 2 end evaluations run.
-		return RefineCI(spec, ax, 1.0, 0.1, nil, 200)
-	}
-	a, b := run(), run()
-	if len(a.Evals) != 2 {
-		t.Fatalf("evals = %d, want 2", len(a.Evals))
-	}
-	if a.Bracketed || a.NoiseLimited {
-		t.Fatalf("target far above range: bracketed=%v noiseLimited=%v", a.Bracketed, a.NoiseLimited)
-	}
-	for _, e := range a.Evals {
-		if len(e.Results) != 3 {
-			t.Fatalf("evaluation at %g has %d results, want one per seed", e.Value, len(e.Results))
-		}
-		if !(e.CILo <= e.Metric && e.Metric <= e.CIHi) {
-			t.Errorf("at %g: CI [%g, %g] does not contain metric %g", e.Value, e.CILo, e.CIHi, e.Metric)
-		}
-		if e.CILo == e.CIHi {
-			t.Errorf("at %g: 3-seed bootstrap CI collapsed to a point", e.Value)
-		}
-	}
-	for i := range a.Evals {
-		if a.Evals[i].Metric != b.Evals[i].Metric ||
-			a.Evals[i].CILo != b.Evals[i].CILo || a.Evals[i].CIHi != b.Evals[i].CIHi {
-			t.Errorf("CI refinement not reproducible at eval %d", i)
-		}
 	}
 }
 
@@ -311,5 +226,29 @@ func TestRefineRealCampaign(t *testing.T) {
 		if a.Evals[i].Metric != b.Evals[i].Metric || a.Evals[i].Value != b.Evals[i].Value {
 			t.Errorf("refinement not reproducible at eval %d: %+v vs %+v", i, a.Evals[i], b.Evals[i])
 		}
+	}
+}
+
+// TestBisectNaNIsNotNoise: a NaN metric (every cell errored) cannot
+// steer. At a range end it leaves the range unbracketed; at a midpoint
+// it stops bisection on the bracket so far. Neither is noise.
+func TestBisectNaNIsNotNoise(t *testing.T) {
+	nanAt := func(bad float64) func(v float64) Evaluation {
+		return func(v float64) Evaluation {
+			if v == bad {
+				return point(v, math.NaN())
+			}
+			return point(v, v)
+		}
+	}
+	r := Bisect(syntheticAxis(0, 1, false), 0.3, 1e-3, nanAt(1))
+	if r.Bracketed || r.NoiseLimited || len(r.Evals) != 2 {
+		t.Errorf("NaN end: bracketed=%v noiseLimited=%v evals=%d, want unbracketed, not noise, 2 evals",
+			r.Bracketed, r.NoiseLimited, len(r.Evals))
+	}
+	r = Bisect(syntheticAxis(0, 1, false), 0.3, 1e-3, nanAt(0.5))
+	if !r.Bracketed || r.NoiseLimited || len(r.Evals) != 3 || r.Lo.Value != 0 || r.Hi.Value != 1 {
+		t.Errorf("NaN midpoint: bracketed=%v noiseLimited=%v evals=%d bracket [%g, %g], want the ends bracketed after 3 evals, not noise",
+			r.Bracketed, r.NoiseLimited, len(r.Evals), r.Lo.Value, r.Hi.Value)
 	}
 }

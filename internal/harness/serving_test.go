@@ -8,7 +8,7 @@ import (
 	"ntisim/internal/cluster"
 )
 
-// servingSpec is a small serving campaign over a sharded topology:
+// servingSpec is a small serving campaign over a 2-segment topology:
 // clients × arrival grid, 2 seeds.
 func servingSpec(workers int) Spec {
 	base := cluster.Defaults(4, 1)

@@ -9,7 +9,6 @@ import (
 
 	"ntisim/internal/cluster"
 	"ntisim/internal/gps"
-	"ntisim/internal/telemetry"
 )
 
 func telemetryJSONL(t *testing.T, c *Campaign) []byte {
@@ -54,17 +53,15 @@ func TestTelemetryByteIdentityAcrossWorkers(t *testing.T) {
 }
 
 // TestTelemetryByteIdentityAcrossShards extends the same guarantee to
-// multi-segment cells, whose snapshots merge one private registry per
-// shard: counters and histograms merge by name, gauges stay
-// shard-tagged, and the merged stream is byte-identical on 1 and 4
-// campaign workers.
+// multi-segment cells: their snapshot stream, which counts the WAN
+// links too, is byte-identical on 1 and 4 campaign workers.
 func TestTelemetryByteIdentityAcrossShards(t *testing.T) {
 	mk := func(workers int) *Campaign {
 		base := cluster.Defaults(8, 1)
 		base.Segments = 2
 		base.Sync.F = 1
 		sp := Spec{
-			Name:         "shard-telemetry",
+			Name:         "segment-telemetry",
 			Base:         base,
 			Points:       NodesAxis(8).Points,
 			Seeds:        []uint64{7, 8},
@@ -85,12 +82,11 @@ func TestTelemetryByteIdentityAcrossShards(t *testing.T) {
 	}
 	a, b := telemetryJSONL(t, one), telemetryJSONL(t, many)
 	if !bytes.Equal(a, b) {
-		t.Fatalf("telemetry JSONL of sharded cells differs between 1 and 4 workers")
+		t.Fatalf("telemetry JSONL of multi-segment cells differs between 1 and 4 workers")
 	}
-	// Sharded cells must actually carry shard-tagged gauges.
-	if !bytes.Contains(a, []byte(telemetry.MetricShardEvents+"@0")) ||
-		!bytes.Contains(a, []byte(telemetry.MetricShardEvents+"@1")) {
-		t.Fatalf("snapshots missing per-shard gauges:\n%s", a)
+	// Multi-segment cells must actually count WAN traffic.
+	if !bytes.Contains(a, []byte(`"net.wan_tx"`)) {
+		t.Fatalf("snapshots missing the WAN link counter:\n%s", a)
 	}
 }
 

@@ -9,8 +9,9 @@ import "encoding/binary"
 // and send to it; messages are delivered to the owner's registered
 // consumer. This is the add-on the clock synchronization is designed to
 // coexist with: KI traffic shares the medium and creates the load that
-// software-only timestamping suffers from (experiments E1/E2 use it as
-// background).
+// software-only timestamping suffers from. (Experiments E1/E2 do not
+// drive KI traffic; they load the medium with the synthetic frames of
+// cluster.Config.BackgroundLoad.)
 
 // KI wire format (inside the KindKernel payload):
 //

@@ -1,16 +1,14 @@
-// Dedicated point-to-point WAN links for the sharded WANs-of-LANs
-// topology (paper footnote 2; DESIGN.md §8).
+// Dedicated point-to-point WAN links for the WANs-of-LANs topology
+// (paper footnote 2; DESIGN.md §8).
 //
-// A gateway node lives entirely on its home shard; its second COMCO
-// channel attaches not to the remote segment's Medium (which belongs
-// to another shard's simulator) but to a LinkPort: the near end of a
-// dedicated full-duplex store-and-forward link. The far end is a
-// Relay, an ordinary Station on the remote Medium. The wire between
-// them is abstract — the cluster layer carries frames across as
-// timestamped cross-shard posts delayed by the WAN propagation delay,
-// which is exactly the Group's conservative lookahead.
+// A gateway node's second COMCO channel attaches not to the remote
+// segment's Medium but to a LinkPort: the near end of a dedicated
+// full-duplex store-and-forward link. The far end is a Relay, an
+// ordinary Station on the remote Medium. The wire between them is
+// abstract — the cluster layer carries frames across as events
+// scheduled the WAN propagation delay later.
 //
-//	gateway COMCO ch1 ── LinkPort ──(cross-shard, +D)── Relay ── remote Medium
+//	gateway COMCO ch1 ── LinkPort ──(WAN, +D)── Relay ── remote Medium
 //
 // The link is deliberately simple compared to Medium: FIFO per
 // direction, deterministic acquisition (no contention jitter — the
@@ -60,15 +58,15 @@ func (c LinkConfig) withDefaults() LinkConfig {
 // RewriteFunc edits a relayed frame's payload in place at its final
 // acquisition, elapsedS true seconds after the frame's original
 // medium acquisition. The payload is a private copy owned by the
-// relayed frame, never shared with the originating shard.
+// relayed frame, never shared with the originating medium.
 type RewriteFunc func(payload []byte, elapsedS float64)
 
-// LinkPort is the home-shard end of a dedicated WAN link. It
-// implements Bus for exactly one attached station (the gateway's
-// second COMCO channel): Send serializes uplink frames FIFO and hands
-// them to the forward callback at serialization end; Inject (invoked
-// by the cluster when a far-side frame crosses the shard boundary)
-// serializes downlink frames FIFO and delivers them to the station.
+// LinkPort is the gateway end of a dedicated WAN link. It implements
+// Bus for exactly one attached station (the gateway's second COMCO
+// channel): Send serializes uplink frames FIFO and hands them to the
+// forward callback at serialization end; Inject (invoked by the
+// cluster when a far-side frame has crossed the WAN) serializes
+// downlink frames FIFO and delivers them to the station.
 type LinkPort struct {
 	s       *sim.Simulator
 	cfg     LinkConfig
@@ -86,10 +84,10 @@ type LinkPort struct {
 	tmRx *telemetry.Counter
 }
 
-// NewLinkPort creates the home end of a link on the home shard's
-// simulator. forward receives each uplink frame (payload already a
-// private copy, AcquiredAt set to the uplink serialization start) at
-// serialization end; the cluster posts it across the shard boundary.
+// NewLinkPort creates the gateway end of a link. forward receives
+// each uplink frame (payload already a private copy, AcquiredAt set to
+// the uplink serialization start) at serialization end; the cluster
+// schedules its arrival at the far end.
 // The port counts uplink frames forwarded and downlink frames delivered
 // on the simulator's registry.
 func NewLinkPort(s *sim.Simulator, cfg LinkConfig, forward func(f Frame), rewrite RewriteFunc) *LinkPort {
@@ -149,7 +147,7 @@ func (p *LinkPort) Send(f Frame, onAcquired func(at float64)) uint64 {
 		f.AcquiredAt = start
 		// Copy after serialization completes: the COMCO's DMA reads have
 		// finished stamping the header by then, and the copy unshares
-		// the payload from the sender before it crosses shards.
+		// the payload from the sender before it crosses the WAN.
 		f.Payload = append([]byte(nil), f.Payload...)
 		p.sent++
 		p.tmTx.Inc()
@@ -158,9 +156,8 @@ func (p *LinkPort) Send(f Frame, onAcquired func(at float64)) uint64 {
 	return f.ID
 }
 
-// Inject delivers a far-side frame to the attached station: called on
-// the home shard (via a cross-shard post) when a frame forwarded by
-// the Relay arrives over the WAN. The frame is serialized FIFO onto
+// Inject delivers a far-side frame to the attached station: called
+// when a frame forwarded by the Relay arrives over the WAN. The frame is serialized FIFO onto
 // the port's downlink, its payload rewritten at acquisition, and
 // handed to the station at the last bit.
 func (p *LinkPort) Inject(f Frame) {
@@ -188,8 +185,8 @@ func (p *LinkPort) Inject(f Frame) {
 
 // Relay is the far end of a LinkPort: an ordinary station on the
 // remote segment's Medium. Broadcast frames it hears are copied and
-// handed to forward (the cluster posts them to LinkPort.Inject across
-// the shard boundary); frames from the far gateway are re-broadcast
+// handed to forward (the cluster schedules LinkPort.Inject the WAN
+// delay later); frames from the far gateway are re-broadcast
 // onto the medium via Inject, rewritten at acquisition.
 //
 // Only relays forward and every forwarded frame carries the relay's
@@ -220,8 +217,8 @@ func NewRelay(med *Medium, forward func(f Frame), rewrite RewriteFunc) *Relay {
 func (r *Relay) StationID() int { return r.id }
 
 // FrameArrived captures one remote-LAN frame for the far gateway
-// (Station interface). The payload is copied here, on the remote
-// shard, so the cross-shard post owns it exclusively.
+// (Station interface). The payload is copied here, so the frame in
+// flight over the WAN owns it exclusively.
 func (r *Relay) FrameArrived(f Frame) {
 	f.Payload = append([]byte(nil), f.Payload...)
 	r.tmFwd.Inc()
@@ -232,7 +229,7 @@ func (r *Relay) FrameArrived(f Frame) {
 // medium: normal FIFO arbitration, jitter, CRC and delivery fan-out
 // apply, so to every local receiver the relayed CSP is
 // indistinguishable from a locally transmitted one (modulo the
-// rewritten stamp). Must run on the medium's own shard.
+// rewritten stamp).
 func (r *Relay) Inject(f Frame) {
 	origAcquired := f.AcquiredAt
 	payload := f.Payload

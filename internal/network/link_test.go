@@ -62,10 +62,9 @@ func TestBackgroundLoadDeliversNothing(t *testing.T) {
 	}
 }
 
-// linkEnds wires a LinkPort and a Relay back-to-back through immediate
-// in-simulator posts with a fixed WAN delay, standing in for the
-// cluster's cross-shard plumbing (here both ends share one simulator,
-// which the components themselves don't care about).
+// linkEnds wires a LinkPort and a Relay back-to-back through events
+// scheduled a fixed WAN delay later, exactly as the cluster's WAN
+// links do.
 func linkEnds(s *sim.Simulator, med *Medium, wanDelay float64, rewrite RewriteFunc) (*LinkPort, *Relay) {
 	var port *LinkPort
 	var relay *Relay
@@ -196,7 +195,7 @@ func TestLinkRewriteElapsed(t *testing.T) {
 	}
 }
 
-// TestLinkPayloadIsolation pins the cross-shard safety property: the
+// TestLinkPayloadIsolation pins the WAN link's isolation property: the
 // payload delivered through a link is never the sender's own slice.
 func TestLinkPayloadIsolation(t *testing.T) {
 	s := sim.New(6)

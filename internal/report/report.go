@@ -168,7 +168,7 @@ func writeHealth(w io.Writer, results []harness.Result) {
 		return
 	}
 	fmt.Fprintf(w, "## Health flags (telemetry watchdog)\n\n")
-	fmt.Fprintf(w, "Cells whose runtime-telemetry watchdog tripped at least one rule\n(containment violation, convergence failures, queue-depth runaway, or\na stalled shard). Healthy cells are omitted.\n\n")
+	fmt.Fprintf(w, "Cells whose runtime-telemetry watchdog tripped at least one rule\n(containment violation, convergence failures, queue-depth runaway, or\nprecision drift). Healthy cells are omitted.\n\n")
 	fmt.Fprintf(w, "| cell | point | seed | flags |\n")
 	fmt.Fprintf(w, "|---|---|---|---|\n")
 	for i := range results {

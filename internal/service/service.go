@@ -126,8 +126,9 @@ func mustArrival(name string) string {
 
 // Generator is one node's aggregate arrival stream. It owns a private
 // RNG derived from the scenario seed and the node index — never from
-// the node's shard — so the stream of arrival counts is a pure function
-// of (seed, node) and identical at any shard or worker count.
+// the node's segment — so the stream of arrival counts is a pure
+// function of (seed, node) and identical at any topology or worker
+// count.
 type Generator struct {
 	s      *sim.Simulator
 	rng    *sim.RNG

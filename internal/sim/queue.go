@@ -17,7 +17,7 @@ package sim
 // total order is unchanged, so determinism is preserved.
 
 // node is one pending-event-set entry. idx addresses the owning
-// Simulator's event arena, keeping the node pointer-free.
+// engine's event arena, keeping the node pointer-free.
 type node struct {
 	at  float64
 	seq uint64
@@ -35,7 +35,7 @@ func (n node) before(m node) bool {
 
 // pushNode inserts a node, sifting it up with the hole technique (one
 // write per level instead of a three-assignment swap).
-func (s *Simulator) pushNode(n node) {
+func (s *engine) pushNode(n node) {
 	q := append(s.queue, node{})
 	i := len(q) - 1
 	for i > 0 {
@@ -54,7 +54,7 @@ func (s *Simulator) pushNode(n node) {
 
 // popNode removes and returns the minimum node. The caller guarantees
 // the queue is non-empty.
-func (s *Simulator) popNode() node {
+func (s *engine) popNode() node {
 	q := s.queue
 	top := q[0]
 	n := len(q) - 1
@@ -97,7 +97,7 @@ func siftDown(q []node, i int, v node) {
 
 // compact removes tombstoned nodes in place, recycling their events, and
 // rebuilds the heap bottom-up (Floyd) in O(n).
-func (s *Simulator) compact() {
+func (s *engine) compact() {
 	q := s.queue
 	k := 0
 	for _, n := range q {

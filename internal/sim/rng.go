@@ -30,13 +30,24 @@ func NewRNG(seed uint64) *RNG {
 
 // Derive returns a new RNG whose stream is a deterministic function of r's
 // seed material and the label, without consuming from r's own stream.
-func (r *RNG) Derive(label string) *RNG {
+func (r *RNG) Derive(label string) *RNG { return NewRNG(r.s[0] ^ labelHash(label)) }
+
+// DeriveSeed maps a scenario seed and a label to the seed of an
+// independent deterministic stream, using the same splitmix64 + FNV-64
+// construction as RNG.Derive: NewRNG(DeriveSeed(seed, label)) yields
+// the stream NewRNG(seed).Derive(label). The segments of a
+// multi-segment cluster use it so that segment i's RNG universe is a
+// pure function of (seed, i).
+func DeriveSeed(seed uint64, label string) uint64 { return NewRNG(seed).s[0] ^ labelHash(label) }
+
+// labelHash is the FNV-64 hash of a stream label.
+func labelHash(label string) uint64 {
 	h := uint64(14695981039346656037) // FNV-64 offset basis
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])
 		h *= 1099511628211
 	}
-	return NewRNG(r.s[0] ^ h)
+	return h
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }

@@ -40,7 +40,7 @@ const compactFloor = 64
 // prevents a pending event from firing.
 type Event struct {
 	fn    func()
-	owner *Simulator
+	owner *engine
 	idx   uint32 // position in owner.events, stable for the Event's lifetime
 	state uint8
 }
@@ -65,16 +65,24 @@ func (e *Event) Cancel() {
 // Pending reports whether the event is still scheduled.
 func (e *Event) Pending() bool { return e != nil && e.state == statePending }
 
-// Simulator owns the event queue and the current simulated time.
+// Simulator is an event heap plus an RNG universe: the heap, clock and
+// instruments live in the shared engine, and root seeds the streams of
+// the components built on this handle. WithSeed returns another handle
+// on the same engine with a different root, which is how the segments
+// of a multi-segment cluster keep private random streams on one heap.
 // The zero value is not usable; call New.
 type Simulator struct {
-	now       float64
-	seq       uint64
-	queue     []node
-	root      *RNG
-	limit     float64 // horizon; 0 = none
-	fired     uint64
-	lastFired float64 // firing time of the most recent event
+	*engine
+	root *RNG
+}
+
+// engine owns the event queue and the current simulated time.
+type engine struct {
+	now   float64
+	seq   uint64
+	queue []node
+	limit float64 // horizon; 0 = none
+	fired uint64
 
 	// events is the arena the queue's pointer-free nodes index into;
 	// free lists the recycled entries ready for reuse.
@@ -105,23 +113,26 @@ type Simulator struct {
 // New creates a Simulator whose stochastic components derive their RNG
 // streams from seed.
 func New(seed uint64) *Simulator {
-	return &Simulator{root: NewRNG(seed)}
+	return &Simulator{engine: &engine{}, root: NewRNG(seed)}
+}
+
+// WithSeed returns a handle on the same event heap, clock and
+// instruments as s whose components derive their RNG streams from seed
+// instead. Events scheduled through either handle share one total
+// (at, seq) order; a label drawn through handles of different seeds
+// names independent streams.
+func (s *Simulator) WithSeed(seed uint64) *Simulator {
+	return &Simulator{engine: s.engine, root: NewRNG(seed)}
 }
 
 // Now returns the current simulated time in seconds.
-func (s *Simulator) Now() float64 { return s.now }
+func (s *engine) Now() float64 { return s.now }
 
 // RNG derives a named deterministic random stream for one component.
 func (s *Simulator) RNG(label string) *RNG { return s.root.Derive(label) }
 
 // EventCount returns the number of events fired so far (for diagnostics).
-func (s *Simulator) EventCount() uint64 { return s.fired }
-
-// LastFiredAt returns the simulated time of the most recently fired
-// event (0 before any event fires). The sharded kernel's telemetry uses
-// it to expose per-shard window lag — how far behind the group clock a
-// shard went idle.
-func (s *Simulator) LastFiredAt() float64 { return s.lastFired }
+func (s *engine) EventCount() uint64 { return s.fired }
 
 // Instrument attaches the domain's tracer and telemetry registry (either
 // may be nil). It must be called before anything is built on the
@@ -131,7 +142,7 @@ func (s *Simulator) LastFiredAt() float64 { return s.lastFired }
 // counters, the event-queue depth gauge (with high-water mark), and
 // snapshot-time pool-occupancy gauges (arena size and free-list length)
 // that cost nothing between captures.
-func (s *Simulator) Instrument(tr *trace.Tracer, r *telemetry.Registry) {
+func (s *engine) Instrument(tr *trace.Tracer, r *telemetry.Registry) {
 	s.tracer, s.reg = tr, r
 	if tr.Options().Dispatch {
 		s.tr = tr
@@ -148,14 +159,14 @@ func (s *Simulator) Instrument(tr *trace.Tracer, r *telemetry.Registry) {
 }
 
 // Tracer returns the domain's tracer (nil when tracing is off).
-func (s *Simulator) Tracer() *trace.Tracer { return s.tracer }
+func (s *engine) Tracer() *trace.Tracer { return s.tracer }
 
 // Telemetry returns the domain's metrics registry (nil when off).
-func (s *Simulator) Telemetry() *telemetry.Registry { return s.reg }
+func (s *engine) Telemetry() *telemetry.Registry { return s.reg }
 
 // alloc takes an Event from the free list, growing the arena only when
 // the list is empty (steady state never grows it).
-func (s *Simulator) alloc(fn func()) *Event {
+func (s *engine) alloc(fn func()) *Event {
 	var e *Event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
@@ -171,7 +182,7 @@ func (s *Simulator) alloc(fn func()) *Event {
 }
 
 // release returns a fired or drained-cancelled Event to the free list.
-func (s *Simulator) release(e *Event) {
+func (s *engine) release(e *Event) {
 	e.fn = nil
 	e.state = stateFree
 	s.free = append(s.free, e)
@@ -179,7 +190,7 @@ func (s *Simulator) release(e *Event) {
 
 // At schedules fn to run at absolute time t (which must not be in the
 // past) and returns a cancellable handle.
-func (s *Simulator) At(t float64, fn func()) *Event {
+func (s *engine) At(t float64, fn func()) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", t, s.now))
 	}
@@ -190,7 +201,7 @@ func (s *Simulator) At(t float64, fn func()) *Event {
 }
 
 // After schedules fn to run d seconds from now.
-func (s *Simulator) After(d float64, fn func()) *Event {
+func (s *engine) After(d float64, fn func()) *Event {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
@@ -200,7 +211,7 @@ func (s *Simulator) After(d float64, fn func()) *Event {
 // rearm re-pushes a currently-firing event at absolute time t, reusing
 // its storage. Only legal from within the event's own callback (Ticker
 // uses it to reschedule without allocating).
-func (s *Simulator) rearm(e *Event, t float64) {
+func (s *engine) rearm(e *Event, t float64) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", t, s.now))
 	}
@@ -212,7 +223,7 @@ func (s *Simulator) rearm(e *Event, t float64) {
 // Every schedules fn every period seconds starting at start, until the
 // returned handle is cancelled. fn sees the simulator clock already
 // advanced to its firing time.
-func (s *Simulator) Every(start, period float64, fn func()) *Ticker {
+func (s *engine) Every(start, period float64, fn func()) *Ticker {
 	t := &Ticker{sim: s, period: period, fn: fn}
 	t.ev = s.At(start, t.fire)
 	return t
@@ -221,7 +232,7 @@ func (s *Simulator) Every(start, period float64, fn func()) *Ticker {
 // Ticker is a repeating event created by Every. It owns a single pooled
 // Event that is re-pushed in place every period.
 type Ticker struct {
-	sim    *Simulator
+	sim    *engine
 	period float64
 	fn     func()
 	ev     *Event
@@ -252,7 +263,7 @@ func (t *Ticker) Stop() {
 
 // Run processes events until the queue is empty or the horizon set by
 // RunUntil is reached. It returns the time of the last fired event.
-func (s *Simulator) Run() float64 {
+func (s *engine) Run() float64 {
 	for len(s.queue) > 0 {
 		n := s.popNode()
 		e := s.events[n.idx]
@@ -268,7 +279,6 @@ func (s *Simulator) Run() float64 {
 		}
 		s.now = n.at
 		s.fired++
-		s.lastFired = n.at
 		s.tmFired.Inc()
 		if s.tr != nil {
 			s.tr.Emit(trace.KindEventFire, s.now, -1, 0, n.seq, 0, 0)
@@ -284,7 +294,7 @@ func (s *Simulator) Run() float64 {
 
 // RunUntil processes events with firing times <= horizon, then stops with
 // the clock at horizon. Events beyond the horizon remain queued.
-func (s *Simulator) RunUntil(horizon float64) float64 {
+func (s *engine) RunUntil(horizon float64) float64 {
 	s.limit = horizon
 	defer func() { s.limit = 0 }()
 	for len(s.queue) > 0 && s.queue[0].at <= horizon {
@@ -297,7 +307,6 @@ func (s *Simulator) RunUntil(horizon float64) float64 {
 		}
 		s.now = n.at
 		s.fired++
-		s.lastFired = n.at
 		s.tmFired.Inc()
 		if s.tr != nil {
 			s.tr.Emit(trace.KindEventFire, s.now, -1, 0, n.seq, 0, 0)

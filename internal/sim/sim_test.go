@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -373,4 +374,45 @@ func BenchmarkEventQueue(b *testing.B) {
 		}
 		s.Run()
 	})
+}
+
+func TestDeriveSeedMatchesDerive(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 0xDEADBEEF} {
+		for _, label := range []string{"", "shard/0", "shard/17", "medium"} {
+			a := NewRNG(DeriveSeed(seed, label))
+			b := NewRNG(seed).Derive(label)
+			for i := 0; i < 8; i++ {
+				if x, y := a.Uint64(), b.Uint64(); x != y {
+					t.Fatalf("seed %d label %q draw %d: DeriveSeed stream %x != Derive stream %x",
+						seed, label, i, x, y)
+				}
+			}
+		}
+	}
+}
+
+// TestWithSeedSharesHeapNotStreams: a WithSeed handle schedules onto
+// the same heap (one clock, one insertion-order tie-break across both
+// handles) while its streams come from its own root.
+func TestWithSeedSharesHeapNotStreams(t *testing.T) {
+	s := New(1)
+	v := s.WithSeed(DeriveSeed(1, "shard/1"))
+	var got []int
+	s.At(2, func() { got = append(got, 0) })
+	v.At(1, func() { got = append(got, 1) })
+	v.At(2, func() { got = append(got, 2) })
+	s.At(2, func() { got = append(got, 3) })
+	v.RunUntil(5)
+	if want := []int{1, 0, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("firing order %v, want %v", got, want)
+	}
+	if s.Now() != 5 || s.EventCount() != 4 || v.EventCount() != 4 {
+		t.Fatalf("handles disagree: now %v, events %d/%d", s.Now(), s.EventCount(), v.EventCount())
+	}
+	if s.RNG("medium").Uint64() == v.RNG("medium").Uint64() {
+		t.Fatal("same label drew the same stream through handles of different seeds")
+	}
+	if v.RNG("medium").Uint64() != NewRNG(DeriveSeed(1, "shard/1")).Derive("medium").Uint64() {
+		t.Fatal("WithSeed handle does not draw from its own root")
+	}
 }

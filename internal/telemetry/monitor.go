@@ -241,7 +241,7 @@ func (m *Monitor) Close() error {
 // WriteProm renders a CampaignStatus in the Prometheus text exposition
 // format: campaign progress first, then the latest snapshot's counters,
 // gauges (with _hi companions) and histogram summaries, all under the
-// nti_ prefix with shard suffixes mapped to {shard="N"} labels.
+// nti_ prefix.
 func WriteProm(w interface{ Write([]byte) (int, error) }, st CampaignStatus) {
 	fmt.Fprintf(w, "nti_cells_total %d\n", st.Total)
 	fmt.Fprintf(w, "nti_cells_done %d\n", st.Done)
@@ -259,32 +259,21 @@ func WriteProm(w interface{ Write([]byte) (int, error) }, st CampaignStatus) {
 	for _, name := range sortedKeys(s.Gauges) {
 		g := s.Gauges[name]
 		fmt.Fprintf(w, "%s %g\n", promName(name), g.V)
-		base, labels := promSplit(name)
-		fmt.Fprintf(w, "nti_%s_hi%s %g\n", base, labels, g.Hi)
+		fmt.Fprintf(w, "%s_hi %g\n", promName(name), g.Hi)
 	}
 	for _, name := range sortedKeys(s.Hists) {
 		h := s.Hists[name]
-		base, _ := promSplit(name)
-		fmt.Fprintf(w, "nti_%s_count %d\n", base, h.N)
-		fmt.Fprintf(w, "nti_%s_mean %g\n", base, h.Mean)
-		fmt.Fprintf(w, "nti_%s{quantile=\"0.5\"} %g\n", base, h.P50)
-		fmt.Fprintf(w, "nti_%s{quantile=\"0.9\"} %g\n", base, h.P90)
-		fmt.Fprintf(w, "nti_%s{quantile=\"0.99\"} %g\n", base, h.P99)
+		base := promName(name)
+		fmt.Fprintf(w, "%s_count %d\n", base, h.N)
+		fmt.Fprintf(w, "%s_mean %g\n", base, h.Mean)
+		fmt.Fprintf(w, "%s{quantile=\"0.5\"} %g\n", base, h.P50)
+		fmt.Fprintf(w, "%s{quantile=\"0.9\"} %g\n", base, h.P90)
+		fmt.Fprintf(w, "%s{quantile=\"0.99\"} %g\n", base, h.P99)
 	}
 }
 
-// promName converts a registry key ("sim.queue_depth@3") to a Prometheus
-// series ("nti_sim_queue_depth{shard=\"3\"}").
+// promName converts a registry key ("sim.queue_depth") to a Prometheus
+// series name ("nti_sim_queue_depth").
 func promName(key string) string {
-	base, labels := promSplit(key)
-	return "nti_" + base + labels
-}
-
-func promSplit(key string) (base, labels string) {
-	if i := strings.LastIndexByte(key, '@'); i >= 0 {
-		labels = `{shard="` + key[i+1:] + `"}`
-		key = key[:i]
-	}
-	base = strings.NewReplacer(".", "_", "-", "_", "/", "_").Replace(key)
-	return base, labels
+	return "nti_" + strings.NewReplacer(".", "_", "-", "_", "/", "_").Replace(key)
 }

@@ -20,10 +20,10 @@ type HistValue struct {
 	Max  float64 `json:"max"`
 }
 
-// Snapshot is the merged state of one or more registries at a sim time.
-// Everything in it is a pure function of (config, seed, sim time), so
-// marshaling one (encoding/json sorts map keys) yields identical bytes on
-// every run regardless of worker or shard-worker counts.
+// Snapshot is the state of a registry at a sim time. Everything in it
+// is a pure function of (config, seed, sim time), so marshaling one
+// (encoding/json sorts map keys) yields identical bytes on every run
+// regardless of campaign worker count.
 type Snapshot struct {
 	T        float64               `json:"t"`
 	Counters map[string]uint64     `json:"counters,omitempty"`
@@ -31,58 +31,36 @@ type Snapshot struct {
 	Hists    map[string]HistValue  `json:"hists,omitempty"`
 }
 
-// Capture merges the given registries into a Snapshot at sim time t. Call
-// it only at a barrier (between Group windows / after RunUntil returns):
-// registries are not thread-safe and Capture reads them directly.
-//
-// Merge rules: counters and histograms combine by plain name (sums and
-// elementwise bin adds — shard decomposition is fixed by config, so totals
-// are invariant under worker counts); gauges keep per-shard identities via
-// the "name@shard" key of a tagged registry; GaugeFunc callbacks are
-// evaluated here, never on the hot path. Nil registries are skipped.
-func Capture(t float64, regs ...*Registry) Snapshot {
-	s := Snapshot{
-		T:        t,
-		Counters: map[string]uint64{},
-		Gauges:   map[string]GaugeValue{},
-		Hists:    map[string]HistValue{},
+// Capture reads registry r into a Snapshot at sim time t, evaluating
+// GaugeFunc callbacks here, never on the hot path. Call it only between
+// RunUntil calls: a registry is not thread-safe. A nil registry gives
+// an empty snapshot.
+func Capture(t float64, r *Registry) Snapshot {
+	s := Snapshot{T: t}
+	if r == nil {
+		return s
 	}
-	merged := map[string]*quantile.Sketch{}
-	for _, r := range regs {
-		if r == nil {
-			continue
+	if len(r.counters) > 0 {
+		s.Counters = make(map[string]uint64, len(r.counters))
+		for name, c := range r.counters {
+			s.Counters[name] = c.v
 		}
-		for _, name := range sortedKeys(r.counters) {
-			s.Counters[name] += r.counters[name].v
-		}
-		for _, name := range sortedKeys(r.gauges) {
-			g := r.gauges[name]
-			s.Gauges[r.gaugeKey(name)] = GaugeValue{V: g.v, Hi: g.hi}
+	}
+	if len(r.gauges)+len(r.fns) > 0 {
+		s.Gauges = make(map[string]GaugeValue, len(r.gauges)+len(r.fns))
+		for name, g := range r.gauges {
+			s.Gauges[name] = GaugeValue{V: g.v, Hi: g.hi}
 		}
 		for _, name := range sortedKeys(r.fns) {
 			v := r.fns[name]()
-			s.Gauges[r.gaugeKey(name)] = GaugeValue{V: v, Hi: v}
-		}
-		for _, name := range sortedKeys(r.hists) {
-			m := merged[name]
-			if m == nil {
-				m = quantile.New()
-				merged[name] = m
-			}
-			m.Merge(r.hists[name])
+			s.Gauges[name] = GaugeValue{V: v, Hi: v}
 		}
 	}
-	for name, h := range merged {
-		s.Hists[name] = histValue(h)
-	}
-	if len(s.Counters) == 0 {
-		s.Counters = nil
-	}
-	if len(s.Gauges) == 0 {
-		s.Gauges = nil
-	}
-	if len(s.Hists) == 0 {
-		s.Hists = nil
+	if len(r.hists) > 0 {
+		s.Hists = make(map[string]HistValue, len(r.hists))
+		for name, h := range r.hists {
+			s.Hists[name] = histValue(h)
+		}
 	}
 	return s
 }

@@ -11,22 +11,20 @@
 //     built without a Registry pays one predictable nil-check per update
 //     site and allocates nothing (pinned by test).
 //
-//   - One registry per goroutine domain. A Registry is deliberately NOT
-//     thread-safe: the sharded kernel gives each shard its own Registry
-//     (updated only by that shard's single-threaded Simulator, exactly like
-//     per-shard trace rings) plus one driver-level Registry touched only
-//     between windows. Capture merges them at a barrier.
+//   - One registry per simulation. A Registry is deliberately NOT
+//     thread-safe: like the tracer, it is updated only by its cluster's
+//     single-threaded simulator, and Capture reads it between RunUntil
+//     calls.
 //
 //   - Snapshots are sim-domain only. Everything that enters a Snapshot is a
 //     pure function of (config, seed, sim time), so snapshot artifacts are
-//     byte-identical across worker and shard-worker counts. Wall-clock
+//     byte-identical across campaign worker counts. Wall-clock
 //     observations (worker utilization, throughput, ETA) live in Monitor,
 //     which serves them over HTTP and never writes artifacts.
 package telemetry
 
 import (
 	"sort"
-	"strconv"
 
 	"ntisim/internal/quantile"
 )
@@ -103,45 +101,24 @@ func (g *Gauge) Hi() float64 {
 	return g.hi
 }
 
-// Registry owns the named metrics for one goroutine domain. The zero of
+// Registry owns the named metrics of one simulation. The zero of
 // usefulness is a nil *Registry: every lookup on it returns a nil handle,
 // whose methods are all no-ops.
 type Registry struct {
-	shard    int
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	fns      map[string]func() float64
 	hists    map[string]*quantile.Sketch
 }
 
-// New returns an empty registry with no shard tag.
+// New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		shard:    -1,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		fns:      make(map[string]func() float64),
 		hists:    make(map[string]*quantile.Sketch),
 	}
-}
-
-// SetShard tags the registry with a shard index. Capture suffixes gauge
-// keys from a tagged registry with "@<shard>" so per-shard levels stay
-// distinguishable after the merge; counters and histograms merge by plain
-// name regardless.
-func (r *Registry) SetShard(shard int) {
-	if r == nil {
-		return
-	}
-	r.shard = shard
-}
-
-// Shard returns the shard tag (-1 when untagged or nil).
-func (r *Registry) Shard() int {
-	if r == nil {
-		return -1
-	}
-	return r.shard
 }
 
 // Counter returns the named counter, creating it on first use. Returns nil
@@ -196,15 +173,6 @@ func (r *Registry) Histogram(name string) *quantile.Sketch {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// gaugeKey maps a gauge name to its merged-snapshot key, suffixing the
-// shard tag when present.
-func (r *Registry) gaugeKey(name string) string {
-	if r.shard < 0 {
-		return name
-	}
-	return name + "@" + strconv.Itoa(r.shard)
 }
 
 // sortedKeys returns map keys in sorted order, for deterministic iteration.

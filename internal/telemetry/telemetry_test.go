@@ -15,7 +15,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	g := r.Gauge("y")
 	h := r.Histogram("z")
 	r.GaugeFunc("f", func() float64 { return 1 })
-	r.SetShard(3)
 	c.Add(5)
 	c.Inc()
 	g.Set(1)
@@ -25,8 +24,8 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || g.Hi() != 0 || h.Count() != 0 {
 		t.Fatalf("nil handles leaked state")
 	}
-	if r.Shard() != -1 {
-		t.Fatalf("nil registry shard = %d", r.Shard())
+	if s := Capture(1, r); s.Counters != nil || s.Gauges != nil || s.Hists != nil {
+		t.Fatalf("nil registry captured %+v", s)
 	}
 	var w *Watchdog
 	w.Observe(Snapshot{})
@@ -153,40 +152,32 @@ func TestHistogramEdges(t *testing.T) {
 	}
 }
 
-// TestCaptureMerge: counters and hists sum across registries; gauges from
-// shard-tagged registries keep per-shard keys.
-func TestCaptureMerge(t *testing.T) {
-	a, b := New(), New()
-	a.SetShard(0)
-	b.SetShard(1)
-	a.Counter("ev").Add(10)
-	b.Counter("ev").Add(32)
-	a.Gauge("depth").Set(5)
-	b.Gauge("depth").Set(7)
-	a.Histogram("lat").Add(1e-3)
-	b.Histogram("lat").Add(4e-3)
-	b.GaugeFunc("pool", func() float64 { return 99 })
-	s := Capture(12.5, a, b, nil)
+// TestCaptureReadsEveryMetricKind: a snapshot carries every counter,
+// gauge (level and high-water mark), gauge callback and histogram of
+// the registry under its plain name.
+func TestCaptureReadsEveryMetricKind(t *testing.T) {
+	r := New()
+	r.Counter("ev").Add(42)
+	r.Gauge("depth").Set(7)
+	r.Gauge("depth").Set(5)
+	r.Histogram("lat").Add(1e-3)
+	r.Histogram("lat").Add(4e-3)
+	r.GaugeFunc("pool", func() float64 { return 99 })
+	s := Capture(12.5, r)
 	if s.T != 12.5 {
 		t.Fatalf("t = %g", s.T)
 	}
 	if s.Counters["ev"] != 42 {
-		t.Fatalf("merged counter = %d, want 42", s.Counters["ev"])
+		t.Fatalf("counter = %d, want 42", s.Counters["ev"])
 	}
-	if s.Gauges["depth@0"].V != 5 || s.Gauges["depth@1"].V != 7 {
-		t.Fatalf("gauges = %+v", s.Gauges)
+	if g := s.Gauges["depth"]; g.V != 5 || g.Hi != 7 {
+		t.Fatalf("gauge = %+v, want level 5, high-water 7", g)
 	}
-	if s.Gauges["pool@1"].V != 99 {
-		t.Fatalf("gauge func = %+v", s.Gauges["pool@1"])
+	if s.Gauges["pool"].V != 99 {
+		t.Fatalf("gauge func = %+v", s.Gauges["pool"])
 	}
 	if h := s.Hists["lat"]; h.N != 2 || h.Min != 1e-3 || h.Max != 4e-3 {
-		t.Fatalf("merged hist = %+v", h)
-	}
-	// Untagged registry gauges keep plain keys.
-	c := New()
-	c.Gauge("depth").Set(1)
-	if s2 := Capture(0, c); s2.Gauges["depth"].V != 1 {
-		t.Fatalf("untagged gauge key missing: %+v", s2.Gauges)
+		t.Fatalf("hist = %+v", h)
 	}
 }
 
@@ -214,7 +205,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 		t.Fatalf("snapshot JSON missing t: %s", x)
 	}
 	// Empty snapshot omits the maps entirely.
-	e, _ := json.Marshal(Capture(1))
+	e, _ := json.Marshal(Capture(1, New()))
 	if string(e) != `{"t":1}` {
 		t.Fatalf("empty snapshot = %s", e)
 	}
@@ -250,40 +241,9 @@ func TestWatchdogContainmentAndConvergence(t *testing.T) {
 
 func TestWatchdogQueueRunaway(t *testing.T) {
 	w := NewWatchdog(WatchdogConfig{QueueDepthLimit: 100})
-	w.Observe(Snapshot{Gauges: map[string]GaugeValue{MetricQueueDepth + "@2": {V: 5, Hi: 101}}})
+	w.Observe(Snapshot{Gauges: map[string]GaugeValue{MetricQueueDepth: {V: 5, Hi: 101}}})
 	if f := w.Flags(); len(f) != 1 || f[0] != "queue-depth-runaway" {
 		t.Fatalf("flags = %v", f)
-	}
-}
-
-func TestWatchdogShardStall(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{StallSnapshots: 2})
-	snap := func(fired uint64, s0, s1 float64) Snapshot {
-		return Snapshot{
-			Counters: map[string]uint64{MetricEventsFired: fired},
-			Gauges: map[string]GaugeValue{
-				MetricShardEvents + "@0": {V: s0},
-				MetricShardEvents + "@1": {V: s1},
-			},
-		}
-	}
-	w.Observe(snap(100, 50, 50))
-	w.Observe(snap(200, 100, 50)) // shard 1 frozen while cluster advances
-	if w.Flags() != nil {
-		t.Fatalf("stall flagged too early: %v", w.Flags())
-	}
-	w.Observe(snap(300, 150, 50))
-	if f := w.Flags(); len(f) != 1 || f[0] != "shard-stall@1" {
-		t.Fatalf("flags = %v, want [shard-stall@1]", f)
-	}
-	// A healthy cluster where everything pauses (no fired growth) never
-	// counts as a stall.
-	w2 := NewWatchdog(WatchdogConfig{StallSnapshots: 2})
-	w2.Observe(snap(100, 50, 50))
-	w2.Observe(snap(100, 50, 50))
-	w2.Observe(snap(100, 50, 50))
-	if w2.Flags() != nil {
-		t.Fatalf("global pause misflagged: %v", w2.Flags())
 	}
 }
 
@@ -292,7 +252,7 @@ func TestPromRendering(t *testing.T) {
 	snap := Snapshot{
 		T:        2,
 		Counters: map[string]uint64{"sim.events_fired": 7},
-		Gauges:   map[string]GaugeValue{"sim.queue_depth@3": {V: 4, Hi: 9}},
+		Gauges:   map[string]GaugeValue{"sim.queue_depth": {V: 4, Hi: 9}},
 		Hists:    map[string]HistValue{"sync.fused_width_s": {N: 1, P50: 2e-6, P90: 2e-6, P99: 2e-6, Mean: 2e-6}},
 	}
 	WriteProm(&sb, CampaignStatus{Total: 4, Done: 1, Snapshot: &snap})
@@ -300,8 +260,8 @@ func TestPromRendering(t *testing.T) {
 	for _, want := range []string{
 		"nti_cells_total 4",
 		"nti_sim_events_fired 7",
-		`nti_sim_queue_depth{shard="3"} 4`,
-		`nti_sim_queue_depth_hi{shard="3"} 9`,
+		"nti_sim_queue_depth 4",
+		"nti_sim_queue_depth_hi 9",
 		`nti_sync_fused_width_s{quantile="0.99"} 2e-06`,
 	} {
 		if !strings.Contains(out, want) {

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Metric names the watchdog rules key on. Layers register these exact
 // names; the watchdog only sees merged snapshots, so it is decoupled from
@@ -15,13 +12,9 @@ const (
 	// MetricConvergenceFailed counts clocksync rounds whose interval
 	// fusion failed to produce a valid result.
 	MetricConvergenceFailed = "sync.convergence_failed"
-	// MetricQueueDepth is the event-queue depth gauge (per shard when
-	// sharded: "sim.queue_depth@N").
+	// MetricQueueDepth is the event-queue depth gauge.
 	MetricQueueDepth = "sim.queue_depth"
-	// MetricShardEvents is the cumulative per-shard fired-event gauge
-	// ("group.shard_events@N"), used for stall detection.
-	MetricShardEvents = "group.shard_events"
-	// MetricEventsFired is the merged fired-event counter.
+	// MetricEventsFired is the fired-event counter.
 	MetricEventsFired = "sim.events_fired"
 	// MetricHonestContainment counts containment violations on honest
 	// (non-traitor) nodes only, maintained by the harness sample loop on
@@ -37,10 +30,6 @@ type WatchdogConfig struct {
 	// QueueDepthLimit flags "queue-depth-runaway" when any event-queue
 	// depth high-water exceeds it. Default 1<<20.
 	QueueDepthLimit float64 `json:"queue_depth_limit,omitempty"`
-	// StallSnapshots flags "shard-stall@N" when shard N fires no events
-	// for this many consecutive snapshots while the rest of the cluster
-	// advances. Default 3.
-	StallSnapshots int `json:"stall_snapshots,omitempty"`
 	// ContainmentLimit flags "containment-violation" when the violation
 	// counter exceeds it. Default 0 (any violation flags).
 	ContainmentLimit uint64 `json:"containment_limit,omitempty"`
@@ -58,9 +47,6 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	if c.QueueDepthLimit == 0 {
 		c.QueueDepthLimit = 1 << 20
 	}
-	if c.StallSnapshots == 0 {
-		c.StallSnapshots = 3
-	}
 	return c
 }
 
@@ -69,11 +55,8 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 // a cell earns are as deterministic as the snapshots themselves. Flags
 // latch: once raised they stay raised for the cell.
 type Watchdog struct {
-	cfg        WatchdogConfig
-	prevShard  map[string]float64 // last seen per-shard cumulative events
-	prevFired  uint64
-	stallCount map[string]int
-	flags      map[string]bool
+	cfg   WatchdogConfig
+	flags map[string]bool
 	// Precision-trend state (PrecisionDriftWindow > 0): the previous
 	// observation and the current strictly-worsening streak length.
 	prevPrecision float64
@@ -84,10 +67,8 @@ type Watchdog struct {
 // NewWatchdog returns a watchdog with defaults applied to cfg.
 func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	return &Watchdog{
-		cfg:        cfg.withDefaults(),
-		prevShard:  map[string]float64{},
-		stallCount: map[string]int{},
-		flags:      map[string]bool{},
+		cfg:   cfg.withDefaults(),
+		flags: map[string]bool{},
 	}
 }
 
@@ -107,31 +88,9 @@ func (w *Watchdog) Observe(s Snapshot) {
 		// adversarial cells (registered there by the harness).
 		w.flags["honest-containment"] = true
 	}
-	for key, g := range s.Gauges {
-		if key == MetricQueueDepth || strings.HasPrefix(key, MetricQueueDepth+"@") {
-			if g.Hi > w.cfg.QueueDepthLimit {
-				w.flags["queue-depth-runaway"] = true
-			}
-		}
+	if s.Gauges[MetricQueueDepth].Hi > w.cfg.QueueDepthLimit {
+		w.flags["queue-depth-runaway"] = true
 	}
-	fired := s.Counters[MetricEventsFired]
-	advancing := fired > w.prevFired
-	for key, g := range s.Gauges {
-		if !strings.HasPrefix(key, MetricShardEvents+"@") {
-			continue
-		}
-		prev, seen := w.prevShard[key]
-		if seen && g.V == prev && advancing {
-			w.stallCount[key]++
-			if w.stallCount[key] >= w.cfg.StallSnapshots {
-				w.flags["shard-stall@"+key[len(MetricShardEvents)+1:]] = true
-			}
-		} else if g.V != prev {
-			w.stallCount[key] = 0
-		}
-		w.prevShard[key] = g.V
-	}
-	w.prevFired = fired
 }
 
 // ObservePrecision feeds the trend rule one per-snapshot precision

@@ -22,20 +22,16 @@ import (
 	"strconv"
 )
 
-// jsonRecord is the JSONL wire form of a Record. Shard is a pointer so
-// unsharded records (Shard -1) omit the field entirely, keeping the
-// schema — and the committed trace goldens — byte-identical to the
-// pre-sharding format.
+// jsonRecord is the JSONL wire form of a Record.
 type jsonRecord struct {
-	Seq   uint64  `json:"seq"`
-	T     float64 `json:"t"`
-	Kind  string  `json:"k"`
-	Node  int32   `json:"node"`
-	Shard *int16  `json:"shard,omitempty"`
-	Ch    int8    `json:"ch,omitempty"`
-	A     uint64  `json:"a,omitempty"`
-	B     uint64  `json:"b,omitempty"`
-	V     float64 `json:"v,omitempty"`
+	Seq  uint64  `json:"seq"`
+	T    float64 `json:"t"`
+	Kind string  `json:"k"`
+	Node int32   `json:"node"`
+	Ch   int8    `json:"ch,omitempty"`
+	A    uint64  `json:"a,omitempty"`
+	B    uint64  `json:"b,omitempty"`
+	V    float64 `json:"v,omitempty"`
 }
 
 // WriteJSONL writes one compact JSON record per line, in emission
@@ -48,9 +44,6 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 		jr := jsonRecord{
 			Seq: r.Seq, T: r.T, Kind: r.Kind.String(),
 			Node: r.Node, Ch: r.Ch, A: r.A, B: r.B, V: r.V,
-		}
-		if r.Shard >= 0 {
-			jr.Shard = &recs[i].Shard
 		}
 		if err := enc.Encode(&jr); err != nil {
 			return fmt.Errorf("trace: jsonl record %d: %w", i, err)
@@ -83,13 +76,9 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 		if !ok {
 			return nil, fmt.Errorf("trace: line %d: unknown kind %q", line, jr.Kind)
 		}
-		shard := int16(-1)
-		if jr.Shard != nil {
-			shard = *jr.Shard
-		}
 		out = append(out, Record{
 			T: jr.T, Seq: jr.Seq, A: jr.A, B: jr.B, V: jr.V,
-			Node: jr.Node, Shard: shard, Ch: jr.Ch, Kind: k,
+			Node: jr.Node, Ch: jr.Ch, Kind: k,
 		})
 	}
 	return out, sc.Err()

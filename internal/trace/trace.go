@@ -191,10 +191,6 @@ type Record struct {
 	// Node is the emitting node/station id; -1 for the simulation
 	// kernel and the medium itself, -2 for background-load frames.
 	Node int32
-	// Shard is the sub-simulator the record was emitted on in a
-	// sharded (WANs-of-LANs) run, or -1 for unsharded simulations.
-	// Stamped from the tracer's SetShard value at emission.
-	Shard int16
 	// Ch is the NTI channel for multi-segment (gateway) nodes.
 	Ch   int8
 	Kind Kind
@@ -262,7 +258,6 @@ type ring struct {
 type Tracer struct {
 	opts  Options
 	seq   uint64
-	shard int16
 	rings []ring // indexed by node+2 (-2 = background, -1 = kernel/medium)
 }
 
@@ -271,22 +266,7 @@ func New(o Options) *Tracer {
 	if o.RingCap <= 0 {
 		o.RingCap = DefaultRingCap
 	}
-	return &Tracer{opts: o, shard: -1}
-}
-
-// SetShard tags every subsequently emitted record with the given shard
-// id. Sharded clusters give each sub-simulator its own tracer (a
-// Tracer, like a Simulator, is single-threaded state) and merge them
-// afterwards with MergeShards; the tag records which sub-simulator an
-// event executed on.
-func (t *Tracer) SetShard(shard int) { t.shard = int16(shard) }
-
-// Shard returns the tracer's shard tag (-1 when unsharded).
-func (t *Tracer) Shard() int {
-	if t == nil {
-		return -1
-	}
-	return int(t.shard)
+	return &Tracer{opts: o}
 }
 
 // Options returns the tracer's effective options (zero value when the
@@ -306,7 +286,7 @@ func (t *Tracer) Emit(k Kind, now float64, node, ch int, a, b uint64, v float64)
 	}
 	t.put(Record{
 		T: now, A: a, B: b, V: v,
-		Node: int32(node), Shard: t.shard, Ch: int8(ch), Kind: k,
+		Node: int32(node), Ch: int8(ch), Kind: k,
 	})
 }
 
@@ -334,53 +314,6 @@ func (t *Tracer) ringOf(node int32) *ring {
 		t.rings = append(t.rings, make([]ring, idx+1-len(t.rings))...)
 	}
 	return &t.rings[idx]
-}
-
-// MergeShards merges per-shard tracers into one tracer whose emission
-// order is the canonical serialization of the sharded run: records
-// sorted by (time, shard, per-shard sequence) and re-sequenced. The
-// order is a pure function of the per-shard streams, so merged exports
-// are byte-identical from run to run. Each node's ring is sized to
-// exactly that node's merged record count, so the merge retains every
-// input record in memory proportional to the records alone.
-func MergeShards(ts []*Tracer) *Tracer {
-	var opts Options
-	total := 0
-	for _, t := range ts {
-		if t != nil {
-			opts = t.opts
-			total += t.Len()
-		}
-	}
-	all := make([]Record, 0, total)
-	for _, t := range ts {
-		all = append(all, t.Records()...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.T != b.T {
-			return a.T < b.T
-		}
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.Seq < b.Seq
-	})
-	out := New(opts)
-	for i := range all {
-		out.ringOf(all[i].Node).n++
-	}
-	for i := range out.rings {
-		r := &out.rings[i]
-		if r.n > 0 {
-			r.buf = make([]Record, r.n)
-			r.n = 0
-		}
-	}
-	for i := range all {
-		out.put(all[i])
-	}
-	return out
 }
 
 // Len returns the number of records currently retained across all
